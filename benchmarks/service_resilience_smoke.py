@@ -29,8 +29,6 @@ and would (correctly) differ between runs.
 Usage::
 
     PYTHONPATH=src python benchmarks/service_resilience_smoke.py
-    PYTHONPATH=src python benchmarks/service_resilience_smoke.py \\
-        --engine-backend vectorized
 
 Exit status: 0 on success, 1 on any failure.
 """
@@ -134,14 +132,9 @@ def graceful_stop(proc):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--engine-backend", choices=("object", "vectorized"), default=None
-    )
-    args = parser.parse_args(argv)
+    parser.parse_args(argv)
 
     env = dict(os.environ)
-    if args.engine_backend:
-        env["REPRO_ENGINE_BACKEND"] = args.engine_backend
 
     workdir = tempfile.mkdtemp(prefix="service-resilience-")
     snap_a = os.path.join(workdir, "final-a.snap")

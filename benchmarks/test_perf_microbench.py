@@ -2,7 +2,7 @@
 
 Unlike the reproduction benchmarks (which run once and print paper
 tables), these are conventional pytest-benchmark timings: the event
-engine's scheduling throughput, the resource tracker's candidate query,
+engine's scheduling throughput, the scheduler's candidate query,
 the monitor's sampling loop, the Lindley recursion, and a full simulated
 hour end-to-end. They exist so performance regressions in the substrate
 are visible in CI, since every experiment's wall-clock depends on them.
@@ -12,14 +12,15 @@ import time
 
 import numpy as np
 
-from repro.scheduler.resources import ResourceTracker
+from repro.scheduler.omega import OmegaScheduler
 from repro.sim.engine import Engine
 from repro.sim.events import EventPriority
 from repro.sim.experiment import ControlledExperiment, ExperimentConfig
 from repro.sim.testbed import Testbed, WorkloadSpec
 from repro.telemetry import NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM, Telemetry
 from repro.workload.interactive import lindley_waits
-from tests.conftest import make_server
+from repro.workload.job import Job
+from tests.conftest import make_servers
 
 
 def test_perf_engine_schedule_run(benchmark):
@@ -37,11 +38,11 @@ def test_perf_engine_schedule_run(benchmark):
 
 def test_perf_tracker_candidates(benchmark):
     """One vectorized placement query over a 400-server fleet."""
-    tracker = ResourceTracker([make_server(i) for i in range(400)])
+    scheduler = OmegaScheduler(Engine(), make_servers(400), np.random.default_rng(0))
     for i in range(0, 400, 3):
-        tracker.on_place(i, 14.0, 30.0)
+        scheduler.servers[i].add_task(Job(i, 1e9, cores=14.0, memory_gb=30.0))
 
-    result = benchmark(tracker.candidates, 4.0, 8.0)
+    result = benchmark(scheduler.candidates, 4.0, 8.0)
     assert len(result) > 0
 
 
@@ -51,7 +52,7 @@ def test_perf_monitor_sample(benchmark):
     from repro.monitor.power_monitor import PowerMonitor
 
     engine = Engine()
-    servers = [make_server(i) for i in range(400)]
+    servers = make_servers(400)
     monitor = PowerMonitor(engine, noise_sigma=0.01)
     monitor.register_group(ServerGroup("g", servers))
 

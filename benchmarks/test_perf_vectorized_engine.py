@@ -1,20 +1,20 @@
-"""Perf gate for the vectorized engine core (``repro.cluster.state``).
+"""Perf gate for the array engine core (``repro.cluster.state``).
 
 Two contracts, measured at facility scale and written to
 ``BENCH_vectorized.json`` for CI to publish:
 
 * **Throughput** -- the monitor sweep (IPMI poll of every BMC, noise,
   quantization, staleness bookkeeping, power aggregation) over a
-  10k-server row must run at least **10x faster** on the vectorized
-  backend than on the per-object reference. The sweep is the per-minute
-  hot loop; at 100k servers the object path alone would eat the entire
-  control interval.
+  10k-server row must run at least **10x faster** as array expressions
+  than as the per-server loop of the scalar oracle
+  (``tests/scalar_oracle.py``). The sweep is the per-minute hot loop; at
+  100k servers a per-server loop alone would eat the entire control
+  interval.
 * **Memory** -- the columnar store must stay a small flat cost per
   slot all the way to 100k servers (no per-object dicts in the hot
-  state), an order of magnitude below what the object engine spends per
-  ``Server``.
+  state), an order of magnitude below what a ``Server`` object costs.
 
-Both backends execute *bit-identical* trajectories (see
+The oracle computes *bit-identical* readings (see
 ``tests/test_backend_equivalence.py``); this file only pins the price.
 """
 
@@ -32,62 +32,85 @@ from repro.cluster.server import Server
 from repro.cluster.state import ClusterState
 from repro.monitor.power_monitor import PowerMonitor
 from repro.sim.engine import Engine
+from tests import scalar_oracle
 
 N_SERVERS = 10_000
 RACKS = 250
 SERVERS_PER_RACK = 40
 SWEEPS = 5
+FAILURE_RATE = 0.02
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_vectorized.json"
 
 RESULTS: dict = {}
 
 
-def _sweep_seconds_per_tick(backend: str) -> float:
-    """Median per-sweep wall-clock of the 10k-server monitor loop."""
-    row = build_row(
-        0, racks=RACKS, servers_per_rack=SERVERS_PER_RACK, engine_backend=backend
-    )
-    monitor = PowerMonitor(
-        Engine(),
-        noise_sigma=0.01,
-        rng=np.random.default_rng(7),
-        ipmi_failure_rate=0.02,
-    )
-    monitor.register_group(row)
+def _median_sweep_seconds(row, sweep) -> float:
+    """Median wall-clock of ``sweep()`` with the power cache cold."""
     state, indices = row.state, row.state_indices
-    monitor.sample_once()  # warm caches / allocators out of the timing
-
+    sweep()  # warm caches / allocators out of the timing
     samples = []
     for _ in range(SWEEPS):
         # Workload churn invalidates power between ticks in a real run;
-        # charge both backends for the recompute, not a cache hit.
+        # charge both loops for the recompute, not a cache hit.
         state.invalidate_power(indices)
         started = time.perf_counter()
-        monitor.sample_once()
-        row.power_watts()
+        sweep()
         samples.append(time.perf_counter() - started)
     return sorted(samples)[len(samples) // 2]
 
 
+def _array_sweep_seconds() -> float:
+    row = build_row(0, racks=RACKS, servers_per_rack=SERVERS_PER_RACK)
+    monitor = PowerMonitor(
+        Engine(),
+        noise_sigma=0.01,
+        rng=np.random.default_rng(7),
+        ipmi_failure_rate=FAILURE_RATE,
+    )
+    monitor.register_group(row)
+
+    def sweep():
+        monitor.sample_once()
+        row.power_watts()
+
+    return _median_sweep_seconds(row, sweep)
+
+
+def _oracle_sweep_seconds() -> float:
+    row = build_row(0, racks=RACKS, servers_per_rack=SERVERS_PER_RACK)
+    fleet = scalar_oracle.IpmiSweepOracle(
+        row.servers,
+        np.random.default_rng(7),
+        noise_sigma=0.01,
+        failure_rate=FAILURE_RATE,
+    )
+
+    def sweep():
+        sum(v for v in fleet.poll() if v == v)  # NaN-skipping total
+        scalar_oracle.total_power(row.servers)
+
+    return _median_sweep_seconds(row, sweep)
+
+
 def test_perf_sweep_throughput_10x_at_10k():
     """>= 10x monitor-sweep throughput at 10k servers."""
-    object_s = _sweep_seconds_per_tick("object")
-    vectorized_s = _sweep_seconds_per_tick("vectorized")
-    speedup = object_s / vectorized_s
+    oracle_s = _oracle_sweep_seconds()
+    array_s = _array_sweep_seconds()
+    speedup = oracle_s / array_s
     RESULTS["sweep"] = {
         "n_servers": N_SERVERS,
         "sweeps_timed": SWEEPS,
-        "object_ms_per_sweep": round(object_s * 1e3, 3),
-        "vectorized_ms_per_sweep": round(vectorized_s * 1e3, 3),
+        "scalar_oracle_ms_per_sweep": round(oracle_s * 1e3, 3),
+        "array_ms_per_sweep": round(array_s * 1e3, 3),
         "speedup": round(speedup, 1),
     }
     print(
-        f"\n10k-server sweep: object {object_s * 1e3:.1f} ms, "
-        f"vectorized {vectorized_s * 1e3:.1f} ms -> {speedup:.1f}x"
+        f"\n10k-server sweep: scalar oracle {oracle_s * 1e3:.1f} ms, "
+        f"array {array_s * 1e3:.1f} ms -> {speedup:.1f}x"
     )
     assert speedup >= 10.0, (
-        f"vectorized sweep only {speedup:.1f}x faster at {N_SERVERS} servers "
-        f"({object_s * 1e3:.1f} ms vs {vectorized_s * 1e3:.1f} ms)"
+        f"array sweep only {speedup:.1f}x faster at {N_SERVERS} servers "
+        f"({oracle_s * 1e3:.1f} ms vs {array_s * 1e3:.1f} ms)"
     )
 
 
@@ -106,8 +129,8 @@ def test_perf_memory_flat_to_100k():
     per_slot_10k = at_10k.bytes_per_server()
     per_slot_100k = at_100k.bytes_per_server()
 
-    # The per-object engine's marginal cost per Server (tasks dict,
-    # listener list, attribute storage), for scale.
+    # The marginal cost of one Server object (tasks dict, listener
+    # list, attribute storage), for scale.
     tracemalloc.start()
     before = tracemalloc.take_snapshot()
     servers = [Server(i, power_params=params) for i in range(1_000)]
@@ -127,13 +150,13 @@ def test_perf_memory_flat_to_100k():
     print(
         f"\ncolumnar: {per_slot_100k:.0f} B/server "
         f"({at_100k.nbytes / 2**20:.1f} MB at 100k); "
-        f"object engine: {per_object:.0f} B/server"
+        f"Server object: {per_object:.0f} B/server"
     )
     # Flat per-slot cost: 100k costs the same per server as 10k.
     assert per_slot_100k == per_slot_10k
     # Small in absolute terms -- a 100k facility fits in tens of MB.
     assert at_100k.nbytes < 64 * 2**20
-    # And far below the object engine's per-server footprint.
+    # And far below a Server object's per-server footprint.
     assert per_slot_100k * 10 < per_object
 
 

@@ -14,6 +14,7 @@ from repro.analysis.report import render_table
 from repro.sim.experiment import ControlledExperiment, ExperimentConfig
 from repro.sim.failures import ServerFailureInjector
 from repro.sim.testbed import WorkloadSpec
+from tests.scalar_oracle import placement_matches
 
 
 def run_with_failures(mtbf_hours: float, seed: int = 2):
@@ -68,6 +69,6 @@ def test_robustness_under_failures(benchmark):
         # violation-free regardless of churn.
         assert result.experiment.summary.violations <= 3, name
         # And the bookkeeping never drifts.
-        assert experiment.testbed.scheduler.tracker.mirror_matches_servers(), name
+        assert placement_matches(experiment.testbed.scheduler), name
     churn = results["mtbf 100h"][1]
     assert churn is not None and churn.stats.failures > 10

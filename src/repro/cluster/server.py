@@ -7,13 +7,14 @@ frequency changes *do* affect running jobs (they slow down), and the server
 notifies registered listeners so the scheduler can reschedule completion
 events.
 
-Since the vectorized-engine refactor a ``Server`` is a *thin view*: all
-dynamic state (utilization, frequency, flags, the power cache) lives in a
-:class:`~repro.cluster.state.ClusterState` slot, and the attributes below
-are properties over that slot. Builders pass a shared store so whole rows
-become contiguous array slices; a standalone ``Server()`` (tests, ad-hoc
-fixtures) silently gets a private single-slot store and behaves exactly as
-before.
+A ``Server`` is a *thin view*: all dynamic state (utilization, frequency,
+flags, the power cache) lives in a :class:`~repro.cluster.state.ClusterState`
+slot, and the attributes below are properties over that slot. Builders
+pass a shared store so whole rows become contiguous array slices, and
+groups, IPMI fleets and schedulers require that sharing -- their hot
+loops are array expressions over the store. A standalone ``Server()``
+gets a private single-slot store: fine on its own, but it cannot join a
+group with servers of another store.
 """
 
 from __future__ import annotations
@@ -228,10 +229,9 @@ class Server:
         """Instantaneous true power draw (no measurement noise).
 
         A failed or powered-off server draws nothing (its PSU is off or
-        the machine is pulled for repair). Power is read every capping
-        tick (seconds) but changes only on task placement/completion or a
-        DVFS step, so it is cached -- in the shared store, where batched
-        mask mutations invalidate it for object-path readers too.
+        the machine is pulled for repair). It changes only on task
+        placement/completion or a DVFS step, so it is cached -- in the
+        shared store, where batched mask mutations invalidate it too.
         """
         state, i = self._state, self._index
         if state.failed[i] or state.powered_off[i]:
@@ -287,7 +287,7 @@ class Server:
         no running jobs left to re-time, and listeners must not observe a
         phantom "uncap" on a dark machine). Without this, a server that
         failed while capped kept ``is_capped`` and leaked capped-time
-        accounting for as long as it stayed dark. The vectorized
+        accounting for as long as it stayed dark. The batched
         equivalent is :meth:`ClusterState.fail_servers`, which applies the
         same flag+frequency+cache transition as a mask.
         """

@@ -12,18 +12,16 @@ is unchanged at its seams while the three hot loops -- power
 aggregation, the monitor sweep, and IPMI sampling -- collapse into array
 expressions.
 
-Backend contract
-----------------
-Both engine backends read and write the *same* store; the switch only
-selects how the hot loops traverse it:
-
-- ``object``: the historical per-server Python loops (the reference
-  path, bit-identical to the pre-vectorization releases).
-- ``vectorized``: NumPy expressions over the same columns.
-
-The two backends are required to produce **byte-identical trajectories**
-(see ``tests/test_backend_equivalence.py``). Three numerical contracts
-make that possible:
+One store, one path
+-------------------
+Every group, fleet and scheduler requires its servers to share one
+store and runs its hot loops as array expressions over these columns;
+there is no per-object production path. The historical per-server
+loops survive only as the scalar oracle under ``tests/`` (see
+``tests/scalar_oracle.py``), which the hypothesis checks and the pinned
+trajectory digests of ``tests/test_backend_equivalence.py`` hold the
+array path to **byte for byte**. Three numerical contracts make that
+possible:
 
 1. *Elementwise power* replicates the scalar op order of
    :func:`~repro.cluster.power.server_power_watts` exactly. ``x ** e``
@@ -42,7 +40,6 @@ make that possible:
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,41 +47,9 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.power import PowerModelParams
 
-#: Recognized engine backends.
-BACKENDS = ("object", "vectorized")
-
-#: Environment variable consulted when no explicit backend is given.
-#: An env var (not a module global) so parallel campaign workers inherit
-#: the choice regardless of the multiprocessing start method.
-BACKEND_ENV_VAR = "REPRO_ENGINE_BACKEND"
-
-#: Process-wide default installed by harnesses (e.g. the pytest
-#: ``--engine-backend`` option). ``None`` defers to the environment.
-DEFAULT_BACKEND: Optional[str] = None
-
 #: Exponents for which NumPy's vectorized ``**`` is bit-identical to
 #: CPython's scalar ``**`` (verified: both are correctly rounded there).
 _NUMPY_EXACT_EXPONENTS = (0.0, 1.0, 2.0)
-
-
-def resolve_backend(value: Optional[str] = None) -> str:
-    """Resolve an engine backend: explicit > default > env > ``object``."""
-    resolved = value or DEFAULT_BACKEND or os.environ.get(BACKEND_ENV_VAR) or "object"
-    if resolved not in BACKENDS:
-        raise ValueError(
-            f"engine backend must be one of {BACKENDS}, got {resolved!r}"
-        )
-    return resolved
-
-
-def set_default_backend(value: Optional[str]) -> Optional[str]:
-    """Install the process-wide default backend; returns the previous one."""
-    global DEFAULT_BACKEND
-    if value is not None and value not in BACKENDS:
-        raise ValueError(f"engine backend must be one of {BACKENDS}, got {value!r}")
-    previous = DEFAULT_BACKEND
-    DEFAULT_BACKEND = value
-    return previous
 
 
 def _exact_pow(base: np.ndarray, exponent: float) -> np.ndarray:
@@ -117,11 +82,11 @@ class ClusterState:
     ``used_cores``, ``used_memory_gb``, ``frequency``, ``frozen``,
     ``failed``, ``powered_off``, ``jobs_started``, ``jobs_completed``.
 
-    Derived cache: ``power_cache`` (watts) valid where ``power_valid``.
-    Both backends share this cache, so a vectorized mask mutation (e.g.
-    :meth:`fail_servers`) invalidates exactly what a per-object mutation
-    would -- the capped-time accounting seam of PR 4 cannot reopen
-    through batching.
+    Derived cache: ``power_cache`` (watts) valid where ``power_valid``,
+    read by the per-server ``Server.power_watts`` view. A mask mutation
+    (e.g. :meth:`fail_servers`) invalidates exactly what the matching
+    per-server mutation would, so batching cannot reopen the
+    capped-time accounting seam.
     """
 
     _FLOAT_COLUMNS = (
@@ -141,10 +106,9 @@ class ClusterState:
     _BOOL_COLUMNS = ("frozen", "failed", "powered_off", "power_valid")
     _INT_COLUMNS = ("server_ids", "jobs_started", "jobs_completed", "tenant_ids")
 
-    def __init__(self, capacity: int = 8, backend: Optional[str] = None) -> None:
+    def __init__(self, capacity: int = 8) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        self.backend = resolve_backend(backend)
         self.n = 0
         for name in self._FLOAT_COLUMNS:
             setattr(self, name, np.zeros(capacity, dtype=np.float64))
@@ -270,8 +234,8 @@ class ClusterState:
     def total_power(self, indices: np.ndarray) -> float:
         """Aggregate power with Python-``sum`` bit semantics.
 
-        ``cumsum`` adds strictly left to right, matching the object
-        backend's ``sum(s.power_watts() for s in servers)`` bit-for-bit;
+        ``cumsum`` adds strictly left to right, matching
+        ``sum(s.power_watts() for s in servers)`` bit-for-bit;
         ``np.sum``'s pairwise tree would differ in the last ulp.
         """
         powers = self.server_powers(indices)
@@ -302,8 +266,8 @@ class ClusterState:
 
         Mirrors the scalar path exactly: the machine goes dark *and*
         loses its DVFS state (it will POST at full frequency), so a
-        capped server that fails mid-tick stops accruing capped time in
-        either backend. Listeners are not notified -- there are no
+        capped server that fails mid-tick stops accruing capped time
+        whichever way it failed. Listeners are not notified -- there are no
         running jobs left to re-time on a dark machine, and the caller
         (scheduler/injector) owns the kill-and-resubmit bookkeeping.
         """
@@ -363,38 +327,31 @@ class ClusterState:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"ClusterState(n={self.n}, capacity={self.capacity}, "
-            f"backend={self.backend!r}, {self.nbytes / 1024:.0f} KiB)"
+            f"{self.nbytes / 1024:.0f} KiB)"
         )
 
 
 def shared_state_of(
-    servers: Sequence,
-) -> Tuple[Optional[ClusterState], Optional[np.ndarray]]:
-    """The store and slot indices shared by ``servers``, if they share one.
+    servers: Sequence, owner: str = "server set"
+) -> Tuple[ClusterState, np.ndarray]:
+    """The store and slot indices (member order) shared by ``servers``.
 
-    Groups assembled from servers of different stores (ad-hoc test
-    fixtures) get ``(None, None)`` and fall back to the object path
-    regardless of the configured backend.
+    Groups, IPMI fleets and schedulers run their hot loops over one
+    store, so ``owner`` (named in the error) rejects members registered
+    with different stores -- build them with a shared ``state=``.
     """
     if not servers:
-        return None, None
-    first = servers[0]
-    state = getattr(first, "_state", None)
-    if state is None:
-        return None, None
+        raise ValueError(f"{owner} needs at least one server")
+    state = servers[0]._state
     indices: List[int] = []
     for server in servers:
-        if getattr(server, "_state", None) is not state:
-            return None, None
+        if server._state is not state:
+            raise ValueError(
+                f"{owner}: servers must share one ClusterState "
+                f"(server {server.server_id} is registered with another store)"
+            )
         indices.append(server._index)
     return state, np.asarray(indices, dtype=np.intp)
 
 
-__all__ = [
-    "BACKENDS",
-    "BACKEND_ENV_VAR",
-    "ClusterState",
-    "resolve_backend",
-    "set_default_backend",
-    "shared_state_of",
-]
+__all__ = ["ClusterState", "shared_state_of"]

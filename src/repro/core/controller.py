@@ -63,7 +63,7 @@ from repro.core.config import AmpereConfig
 from repro.core.demand import ConstantDemandEstimator, DemandEstimator
 from repro.core.history import BoundedHistory
 from repro.core.freeze_model import FreezeEffectModel
-from repro.core.policy import FreezePolicy, plan_freeze_set
+from repro.core.policy import FreezePolicy, PowerOrderedFreezePolicy
 from repro.core.rhc import pcp_optimal_sequence, spcp_optimal_ratio, threshold_ratio
 from repro.monitor.power_monitor import PowerMonitor
 from repro.scheduler.base import SchedulerInterface, SchedulerRpcError
@@ -254,8 +254,9 @@ class AmpereController:
         E_t provider; defaults to a constant conservative margin.
     freeze_policy:
         Pluggable freeze-set selection (:class:`~repro.core.policy.FreezePolicy`).
-        ``None`` keeps the paper's power-ordered :func:`plan_freeze_set`
-        bit-identically; the tenancy subsystem installs
+        ``None`` installs the paper's power-ordered
+        :class:`~repro.core.policy.PowerOrderedFreezePolicy`; the tenancy
+        subsystem installs
         :class:`~repro.tenancy.FairShareFreezePolicy` here.
     """
 
@@ -281,7 +282,9 @@ class AmpereController:
             if demand_estimator is not None
             else ConstantDemandEstimator(config.default_e_t)
         )
-        self.freeze_policy = freeze_policy
+        self.freeze_policy: FreezePolicy = (
+            freeze_policy if freeze_policy is not None else PowerOrderedFreezePolicy()
+        )
         self.telemetry = (
             telemetry
             if telemetry is not None
@@ -338,6 +341,13 @@ class AmpereController:
             }
         if not self.states:
             raise ValueError("controller needs at least one group to control")
+
+    def __setstate__(self, state: dict) -> None:
+        # Snapshots written while the field was optional may carry
+        # ``freeze_policy=None``, which meant the power-ordered policy.
+        self.__dict__.update(state)
+        if self.freeze_policy is None:
+            self.freeze_policy = PowerOrderedFreezePolicy()
 
     def _new_state(self, group: ServerGroup, server_ids: frozenset) -> RowControlState:
         """Fresh per-row state honouring the configured retention window."""
@@ -538,14 +548,9 @@ class AmpereController:
                 sid: (value if math.isfinite(value) else 0.0)
                 for sid, value in powers.items()
             }
-            if self.freeze_policy is not None:
-                plan = self.freeze_policy.plan(
-                    powers, n_freeze, currently_frozen, self.config.r_stable
-                )
-            else:
-                plan = plan_freeze_set(
-                    powers, n_freeze, currently_frozen, self.config.r_stable
-                )
+            plan = self.freeze_policy.plan(
+                powers, n_freeze, currently_frozen, self.config.r_stable
+            )
             achieved: Set[int] = set(currently_frozen)
             for server_id in sorted(plan.to_unfreeze):
                 if self._rpc(state, "unfreeze", server_id, now):

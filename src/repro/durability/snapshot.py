@@ -22,7 +22,7 @@ The header is readable without unpickling anything (``read_header``),
 carries a SHA-256 of the payload so torn or corrupted files fail loudly
 instead of restoring garbage, and is versioned so a future layout change
 refuses old files explicitly. ``meta`` holds deterministic descriptive
-fields only (sim time, backend, seed) -- never wall-clock timestamps, so
+fields only (sim time, sizes, seed) -- never wall-clock timestamps, so
 snapshotting the same state twice yields the same bytes.
 
 Canonical encoding
@@ -72,6 +72,23 @@ _PICKLE_PROTOCOL = 5
 
 class SnapshotError(RuntimeError):
     """A snapshot frame is malformed, corrupted, or of the wrong kind."""
+
+
+#: Classes that earlier builds pickled into live state but that no longer
+#: exist (the scheduler's resource mirror). Their instances load as inert
+#: placeholders, which the owning objects' ``__setstate__`` discards.
+_RETIRED_CLASSES = frozenset({("repro.scheduler.resources", "ResourceTracker")})
+
+
+class _Retired:
+    """Placeholder for an instance of a retired class; holds its state."""
+
+
+class _Unpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str):
+        if (module, name) in _RETIRED_CLASSES:
+            return _Retired
+        return super().find_class(module, name)
 
 
 class _CanonicalPickler(pickle._Pickler):
@@ -181,7 +198,7 @@ def decode_snapshot(
             "payload checksum mismatch (file corrupted or torn): "
             f"expected {header.get('payload_sha256')}, got {digest}"
         )
-    return pickle.loads(payload), header
+    return _Unpickler(io.BytesIO(payload)).load(), header
 
 
 def write_snapshot(

@@ -17,7 +17,8 @@ the fast control loops into a breaker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping
 
 #: relative slack for floating-point conservation checks
@@ -46,14 +47,26 @@ class RowBudget:
     allocation_watts: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rating_watts <= 0:
+        # Every guard is written so NaN fails it: a comparison with NaN is
+        # always False, so a bare ``x <= 0`` check would wave NaN through.
+        if not 0 < self.rating_watts < math.inf:
             raise ValueError(
-                f"rating_watts must be positive, got {self.rating_watts}"
+                f"rating_watts must be positive and finite, got {self.rating_watts}"
             )
         if not 0 < self.static_watts <= self.rating_watts * (1 + LEDGER_RTOL):
             raise ValueError(
                 f"static_watts for {self.name!r} must be in (0, rating], got "
                 f"{self.static_watts} (rating {self.rating_watts})"
+            )
+        if not 0 <= self.floor_watts <= self.rating_watts * (1 + LEDGER_RTOL):
+            raise ValueError(
+                f"floor_watts for {self.name!r} must be in [0, rating], got "
+                f"{self.floor_watts}"
+            )
+        if not math.isfinite(self.allocation_watts):
+            raise ValueError(
+                f"allocation_watts for {self.name!r} must be finite, got "
+                f"{self.allocation_watts}"
             )
         if self.allocation_watts == 0.0:
             self.allocation_watts = self.static_watts
@@ -77,9 +90,9 @@ class BudgetLedger:
     def __init__(
         self, facility_budget_watts: float, rows: Iterable[RowBudget]
     ) -> None:
-        if facility_budget_watts <= 0:
+        if not 0 < facility_budget_watts < math.inf:
             raise ValueError(
-                "facility_budget_watts must be positive, got "
+                "facility_budget_watts must be positive and finite, got "
                 f"{facility_budget_watts}"
             )
         self.facility_budget_watts = float(facility_budget_watts)
@@ -123,9 +136,10 @@ class BudgetLedger:
     def set_floor(self, name: str, floor_watts: float) -> None:
         """Update one row's safety floor (clamped into [0, rating])."""
         row = self._rows[name]
-        if floor_watts < 0:
+        if not 0 <= floor_watts < math.inf:
             raise LedgerError(
-                f"floor for {name!r} must be non-negative, got {floor_watts}"
+                f"floor for {name!r} must be finite and non-negative, got "
+                f"{floor_watts}"
             )
         if floor_watts > row.rating_watts * (1 + LEDGER_RTOL):
             raise LedgerError(
@@ -186,6 +200,9 @@ class BudgetLedger:
         for name in self.row_names:
             row = self._rows[name]
             watts = float(allocations[name])
+            if not math.isfinite(watts):
+                self.stats.rejected += 1
+                raise LedgerError(f"{name!r}: allocation {watts} W is not finite")
             if watts < row.floor_watts - slack:
                 self.stats.rejected += 1
                 raise LedgerError(

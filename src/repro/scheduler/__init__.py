@@ -9,7 +9,6 @@ policies. Ampere interacts with this package *only* through
 """
 
 from repro.scheduler.base import SchedulerInterface, SchedulerStats
-from repro.scheduler.resources import ResourceTracker
 from repro.scheduler.policies import (
     PlacementPolicy,
     RandomAvailablePolicy,
@@ -21,7 +20,6 @@ from repro.scheduler.omega import Framework, OmegaScheduler
 __all__ = [
     "SchedulerInterface",
     "SchedulerStats",
-    "ResourceTracker",
     "PlacementPolicy",
     "RandomAvailablePolicy",
     "LeastLoadedPolicy",

@@ -1,9 +1,15 @@
 """Two-level Omega-like scheduler with the freeze/unfreeze API.
 
-The low level (this class plus :class:`ResourceTracker`) owns resource
-state, executes placements, schedules job-completion events on the
-simulation engine, and keeps completions correct when DVFS capping changes
-a server's execution speed. The upper level is a set of per-product
+The low level (this class) executes placements, schedules job-completion
+events on the simulation engine, and keeps completions correct when DVFS
+capping changes a server's execution speed. It keeps no copy of resource
+state: its servers share one :class:`~repro.cluster.state.ClusterState`,
+and a placement query ("which unfrozen servers fit 2 cores / 4 GB in
+row 3?") is one vectorized filter over that store's ``used_cores``,
+``used_memory_gb``, ``frozen``, ``failed`` and ``powered_off`` columns
+across the scheduler's slots -- the part of the paper's low-level
+scheduler that "tracks the status of resources [and] bundles them into
+abstract resource containers". The upper level is a set of per-product
 :class:`Framework` objects, each with its own FIFO queue (with bounded
 backfill) and placement policy.
 
@@ -15,14 +21,14 @@ SLA-safety argument rests on.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, FrozenSet, Iterable, List, Optional
+from typing import Callable, Deque, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.server import Server
+from repro.cluster.state import shared_state_of
 from repro.scheduler.base import SchedulerInterface, SchedulerStats
 from repro.scheduler.policies import PlacementPolicy, RandomAvailablePolicy
-from repro.scheduler.resources import ResourceTracker
 from repro.sim.engine import Engine
 from repro.sim.events import EventPriority
 from repro.workload.job import Job
@@ -32,6 +38,14 @@ CompletionListener = Callable[[Job, Server], None]
 
 #: Progress shortfall below which a completion event is accepted as final.
 _COMPLETION_EPSILON = 1e-6
+
+#: Slack on the fit test (``used + demand <= capacity + slack``).
+_FIT_SLACK = 1e-9
+
+#: Distinct demand shapes whose fit limits stay cached (a replayed trace
+#: may carry arbitrarily many; each entry costs two arrays of fleet size).
+_FIT_CACHE_ENTRIES = 16
+
 
 
 class Framework:
@@ -69,7 +83,8 @@ class OmegaScheduler(SchedulerInterface):
         Simulation engine (completion events are scheduled on it).
     servers:
         The schedulable fleet (usually every server in the data center --
-        the paper schedules over the whole facility as one pool).
+        the paper schedules over the whole facility as one pool). All of
+        them must share one :class:`~repro.cluster.state.ClusterState`.
     rng:
         Random generator for placement tie-breaking.
     default_policy:
@@ -86,7 +101,7 @@ class OmegaScheduler(SchedulerInterface):
     ) -> None:
         self.engine = engine
         self.enable_preemption = enable_preemption
-        self.tracker = ResourceTracker(list(servers))
+        self._bind(list(servers))
         self.rng = rng
         self.stats = SchedulerStats()
         self.frameworks: Dict[str, Framework] = {}
@@ -96,8 +111,53 @@ class OmegaScheduler(SchedulerInterface):
         #: called with (action, server_id) on freeze/unfreeze/fail/repair
         self.control_listeners: List[Callable[[str, int], None]] = []
         self._frozen_ids: set = set()
-        for server in self.tracker.servers:
+        for server in self.servers:
             server.frequency_listeners.append(self._on_frequency_change)
+
+    def _bind(self, servers: List[Server]) -> None:
+        """Adopt ``servers`` and the static placement data derived from them."""
+        self.servers = servers
+        self.state, self._slot_index = shared_state_of(servers, "OmegaScheduler")
+        self.index_of: Dict[int, int] = {s.server_id: i for i, s in enumerate(servers)}
+        if len(self.index_of) != len(servers):
+            raise ValueError("duplicate server ids in scheduler")
+        # Placement reads the store over these slots: a slice view when
+        # they are contiguous (every builder lays rows out that way).
+        slots = self._slot_index
+        first = int(slots[0])
+        contiguous = np.array_equal(slots, np.arange(first, first + len(slots)))
+        self._slots = slice(first, first + len(slots)) if contiguous else slots
+        #: static per-position row ids (for ``allowed_rows`` filters)
+        self.row_ids = np.array([s.row_id for s in servers], dtype=np.int64)
+        # (cores, memory) capacities: scalars when every server has the
+        # same, so a fit test streams only the ``used`` columns.
+        cores, memory = self.state.cores[self._slots], self.state.memory_gb[self._slots]
+        if (cores == cores[0]).all() and (memory == memory[0]).all():
+            self._capacity = (float(cores[0]), float(memory[0]))
+        else:
+            self._capacity = (cores.copy(), memory.copy())
+        self._row_mask_cache: Dict[frozenset, np.ndarray] = {}
+        self._fit_limits: Dict[Tuple[float, float], Tuple] = {}
+
+    def __setstate__(self, state: dict) -> None:
+        # Snapshots from builds that mirrored resources into a separate
+        # tracker carry it as ``tracker``; the store already holds
+        # everything it mirrored, so only its server list is adopted.
+        # The servers may still be half-restored while this runs, so the
+        # placement data is derived on first use (``__getattr__``).
+        tracker = state.pop("tracker", None)
+        self.__dict__.update(state)
+        if tracker is not None:
+            self.servers = tracker.servers
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes missing from the instance: after a
+        # restore that adopted a tracker's servers but has not yet bound.
+        unbound = "servers" in self.__dict__ and "state" not in self.__dict__
+        if name.startswith("__") or not unbound:
+            raise AttributeError(name)
+        self._bind(self.servers)
+        return getattr(self, name)
 
     # ------------------------------------------------------------------
     # Framework management (upper level)
@@ -138,25 +198,25 @@ class OmegaScheduler(SchedulerInterface):
             return
         framework.queue.append(job)
 
-    def freeze(self, server_id: int) -> None:
-        if server_id not in self.tracker.index_of:
+    def _server(self, server_id: int) -> Server:
+        index = self.index_of.get(server_id)
+        if index is None:
             raise KeyError(f"unknown server id {server_id}")
+        return self.servers[index]
+
+    def freeze(self, server_id: int) -> None:
+        server = self._server(server_id)
         if server_id in self._frozen_ids:
             return  # idempotent: reconciliation may re-assert a freeze
-        index = self.tracker.index_of[server_id]
-        self.tracker.server_at(index).freeze()
-        self.tracker.set_frozen(server_id, True)
+        server.freeze()
         self._frozen_ids.add(server_id)
         self._notify_control("freeze", server_id)
 
     def unfreeze(self, server_id: int) -> None:
-        if server_id not in self.tracker.index_of:
-            raise KeyError(f"unknown server id {server_id}")
+        server = self._server(server_id)
         if server_id not in self._frozen_ids:
             return  # idempotent: a retried unfreeze must not re-drain
-        index = self.tracker.index_of[server_id]
-        self.tracker.server_at(index).unfreeze()
-        self.tracker.set_frozen(server_id, False)
+        server.unfreeze()
         self._frozen_ids.discard(server_id)
         self._notify_control("unfreeze", server_id)
         self._drain_queues()
@@ -174,10 +234,7 @@ class OmegaScheduler(SchedulerInterface):
         semantics); pinned services are lost until an operator re-pins
         them. Returns the number of tasks killed.
         """
-        if server_id not in self.tracker.index_of:
-            raise KeyError(f"unknown server id {server_id}")
-        index = self.tracker.index_of[server_id]
-        server = self.tracker.server_at(index)
+        server = self._server(server_id)
         if server.failed:
             return 0
         killed = list(server.tasks.values())
@@ -186,10 +243,8 @@ class OmegaScheduler(SchedulerInterface):
                 job.completion_handle.cancel()
                 job.completion_handle = None
             server.remove_task(job)
-            self.tracker.on_release(index, job.cores, job.memory_gb)
             job.kill()
         server.fail()
-        self.tracker.set_failed(server_id, True)
         self._notify_control("fail", server_id)
         self.stats.failures += 1
         self.stats.jobs_killed += len(killed)
@@ -222,10 +277,7 @@ class OmegaScheduler(SchedulerInterface):
         (infinite work) are never shed. Returns the number of tasks
         dropped.
         """
-        if server_id not in self.tracker.index_of:
-            raise KeyError(f"unknown server id {server_id}")
-        index = self.tracker.index_of[server_id]
-        server = self.tracker.server_at(index)
+        server = self._server(server_id)
         victims = sorted(
             (
                 t
@@ -243,7 +295,6 @@ class OmegaScheduler(SchedulerInterface):
                 job.completion_handle = None
             job.advance(now, server.frequency)
             server.remove_task(job)
-            self.tracker.on_release(index, job.cores, job.memory_gb)
             job.kill()
         if victims:
             self.stats.jobs_shed += len(victims)
@@ -252,14 +303,10 @@ class OmegaScheduler(SchedulerInterface):
 
     def repair_server(self, server_id: int) -> None:
         """Bring a failed server back into the schedulable pool."""
-        if server_id not in self.tracker.index_of:
-            raise KeyError(f"unknown server id {server_id}")
-        index = self.tracker.index_of[server_id]
-        server = self.tracker.server_at(index)
+        server = self._server(server_id)
         if not server.failed:
             return
         server.repair()
-        self.tracker.set_failed(server_id, False)
         self._notify_control("repair", server_id)
         self._drain_queues()
 
@@ -272,19 +319,11 @@ class OmegaScheduler(SchedulerInterface):
         Raises ``RuntimeError`` if the server still runs tasks; a
         consolidation controller must only select idle machines.
         """
-        if server_id not in self.tracker.index_of:
-            raise KeyError(f"unknown server id {server_id}")
-        index = self.tracker.index_of[server_id]
-        self.tracker.server_at(index).power_off()
-        self.tracker.set_offline(server_id, True)
+        self._server(server_id).power_off()
 
     def power_on_server(self, server_id: int) -> None:
         """Return a powered-off server to the pool and drain the queue."""
-        if server_id not in self.tracker.index_of:
-            raise KeyError(f"unknown server id {server_id}")
-        index = self.tracker.index_of[server_id]
-        self.tracker.server_at(index).power_on()
-        self.tracker.set_offline(server_id, False)
+        self._server(server_id).power_on()
         self._drain_queues()
 
     # ------------------------------------------------------------------
@@ -301,7 +340,7 @@ class OmegaScheduler(SchedulerInterface):
         best_index = None
         best_victims = None
         best_cost = None
-        for index, server in enumerate(self.tracker.servers):
+        for index, server in enumerate(self.servers):
             if server.frozen or server.failed:
                 continue
             if job.allowed_rows is not None and server.row_id not in job.allowed_rows:
@@ -316,7 +355,7 @@ class OmegaScheduler(SchedulerInterface):
                 best_victims = victims
         if best_index is None:
             return False
-        server = self.tracker.server_at(best_index)
+        server = self.servers[best_index]
         now = self.engine.now
         for victim in best_victims:
             if victim.completion_handle is not None:
@@ -324,7 +363,6 @@ class OmegaScheduler(SchedulerInterface):
                 victim.completion_handle = None
             victim.advance(now, server.frequency)
             server.remove_task(victim)
-            self.tracker.on_release(best_index, victim.cores, victim.memory_gb)
             victim.kill()
             self.stats.jobs_preempted += 1
         self.stats.preemptions += 1
@@ -379,19 +417,70 @@ class OmegaScheduler(SchedulerInterface):
     # ------------------------------------------------------------------
     # Placement (low level)
     # ------------------------------------------------------------------
+    def candidates(
+        self,
+        cores: float,
+        memory_gb: float,
+        allowed_rows: Optional[frozenset] = None,
+    ) -> np.ndarray:
+        """Ascending positions of live, unfrozen servers that fit the demand.
+
+        ``used <= capacity - (demand - slack)`` against per-demand limits
+        cached like the row masks (capacities are static), so a query is
+        a few comparisons over the store's columns with no subtraction.
+        Same booleans as ``Server.can_fit`` whenever the arithmetic is
+        exact, as it is for the integral demands of every workload here.
+        """
+        state, slots = self.state, self._slots
+        core_limit, memory_limit = self._limits(cores, memory_gb)
+        mask = state.used_cores[slots] <= core_limit
+        mask &= state.used_memory_gb[slots] <= memory_limit
+        blocked = state.frozen[slots] | state.failed[slots]
+        blocked |= state.powered_off[slots]
+        mask &= ~blocked
+        if allowed_rows is not None:
+            mask &= self._row_mask(allowed_rows)
+        return np.flatnonzero(mask)
+
+    def _limits(self, cores: float, memory_gb: float) -> Tuple:
+        key = (cores, memory_gb)
+        limits = self._fit_limits.get(key)
+        if limits is None:
+            if len(self._fit_limits) >= _FIT_CACHE_ENTRIES:
+                self._fit_limits.clear()
+            core_capacity, memory_capacity = self._capacity
+            limits = (
+                core_capacity - (cores - _FIT_SLACK),
+                memory_capacity - (memory_gb - _FIT_SLACK),
+            )
+            self._fit_limits[key] = limits
+        return limits
+
+    def _row_mask(self, allowed_rows: frozenset) -> np.ndarray:
+        cached = self._row_mask_cache.get(allowed_rows)
+        if cached is None:
+            allowed = np.fromiter(allowed_rows, dtype=np.int64)
+            cached = np.isin(self.row_ids, allowed)
+            self._row_mask_cache[allowed_rows] = cached
+        return cached
+
+    def free_cores(self, positions: np.ndarray) -> np.ndarray:
+        """Free cores of the servers at ``positions`` (scheduler order)."""
+        slots = self._slot_index[positions]
+        return self.state.cores[slots] - self.state.used_cores[slots]
+
     def _try_place(self, job: Job, framework: Framework) -> bool:
-        candidates = self.tracker.candidates(job.cores, job.memory_gb, job.allowed_rows)
+        candidates = self.candidates(job.cores, job.memory_gb, job.allowed_rows)
         if len(candidates) == 0:
             return False
-        index = framework.policy.select(self.tracker, candidates, self.rng)
+        index = framework.policy.select(self, candidates, self.rng)
         self._place(job, index)
         return True
 
     def _place(self, job: Job, index: int) -> None:
-        server = self.tracker.server_at(index)
+        server = self.servers[index]
         now = self.engine.now
         server.add_task(job)
-        self.tracker.on_place(index, job.cores, job.memory_gb)
         job.begin(server, now)
         job.completion_handle = self.engine.schedule(
             job.eta(now, server.frequency),
@@ -411,12 +500,8 @@ class OmegaScheduler(SchedulerInterface):
         scheduled and throughput listeners are not notified (services are
         not part of batch throughput).
         """
-        if server_id not in self.tracker.index_of:
-            raise KeyError(f"unknown server id {server_id}")
-        index = self.tracker.index_of[server_id]
-        server = self.tracker.server_at(index)
+        server = self._server(server_id)
         server.add_task(job)
-        self.tracker.on_place(index, job.cores, job.memory_gb)
         job.begin(server, self.engine.now)
 
     def _complete_job(self, job: Job) -> None:
@@ -436,8 +521,6 @@ class OmegaScheduler(SchedulerInterface):
             return
         job.complete(now)
         server.remove_task(job)
-        index = self.tracker.index_of[server.server_id]
-        self.tracker.on_release(index, job.cores, job.memory_gb)
         self.stats.completed += 1
         for listener in self.completion_listeners:
             listener(job, server)

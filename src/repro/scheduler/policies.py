@@ -11,23 +11,30 @@ proportionality is only approximate.
 from __future__ import annotations
 
 import abc
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.scheduler.resources import ResourceTracker
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.scheduler.omega import OmegaScheduler
 
 
 class PlacementPolicy(abc.ABC):
-    """Chooses one server index among fitting candidates."""
+    """Chooses one server position among fitting candidates.
+
+    ``candidates`` are ascending positions in ``scheduler.servers``;
+    per-server state (free cores, row ids) is read from the scheduler,
+    which reads it from the shared store.
+    """
 
     @abc.abstractmethod
     def select(
         self,
-        tracker: ResourceTracker,
+        scheduler: "OmegaScheduler",
         candidates: np.ndarray,
         rng: np.random.Generator,
     ) -> int:
-        """Return the chosen index from ``candidates`` (never empty)."""
+        """Return the chosen position from ``candidates`` (never empty)."""
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return type(self).__name__
@@ -42,7 +49,7 @@ class RandomAvailablePolicy(PlacementPolicy):
 
     def select(
         self,
-        tracker: ResourceTracker,
+        scheduler: "OmegaScheduler",
         candidates: np.ndarray,
         rng: np.random.Generator,
     ) -> int:
@@ -54,11 +61,11 @@ class LeastLoadedPolicy(PlacementPolicy):
 
     def select(
         self,
-        tracker: ResourceTracker,
+        scheduler: "OmegaScheduler",
         candidates: np.ndarray,
         rng: np.random.Generator,
     ) -> int:
-        free = tracker.free_cores_array(candidates)
+        free = scheduler.free_cores(candidates)
         best = np.flatnonzero(free == free.max())
         # Break ties randomly so identical servers share load evenly.
         return int(candidates[best[rng.integers(len(best))]])
@@ -69,11 +76,11 @@ class BestFitPolicy(PlacementPolicy):
 
     def select(
         self,
-        tracker: ResourceTracker,
+        scheduler: "OmegaScheduler",
         candidates: np.ndarray,
         rng: np.random.Generator,
     ) -> int:
-        free = tracker.free_cores_array(candidates)
+        free = scheduler.free_cores(candidates)
         best = np.flatnonzero(free == free.min())
         return int(candidates[best[rng.integers(len(best))]])
 

@@ -14,13 +14,15 @@ controller still only freezes/unfreezes.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Sequence
 
 import numpy as np
 
 from repro.cluster.row import Row
 from repro.scheduler.policies import PlacementPolicy
-from repro.scheduler.resources import ResourceTracker
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.scheduler.omega import OmegaScheduler
 
 RowPowerLookup = Callable[[], Dict[int, float]]
 
@@ -51,14 +53,12 @@ class CoolestRowPolicy(PlacementPolicy):
 
     def select(
         self,
-        tracker: ResourceTracker,
+        scheduler: "OmegaScheduler",
         candidates: np.ndarray,
         rng: np.random.Generator,
     ) -> int:
         row_power = {row.row_id: row.normalized_power() for row in self.rows}
-        candidate_rows = np.array(
-            [tracker.server_at(int(i)).row_id for i in candidates]
-        )
+        candidate_rows = scheduler.row_ids[candidates]
         # Weight each candidate by how much headroom its row has.
         headroom = np.array(
             [max(1e-6, 1.0 - row_power.get(r, 1.0)) for r in candidate_rows]

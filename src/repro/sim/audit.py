@@ -45,6 +45,7 @@ emergency: freeze first, diagnose second. Every outcome increments the
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -406,7 +407,7 @@ class StateAuditor:
         # any drift means a mutation bypassed the freeze bookkeeping.
         for scheduler in self.schedulers:
             frozen_ids = scheduler.frozen_server_ids()
-            for server in scheduler.tracker.servers:
+            for server in scheduler.servers:
                 if server.frozen != (server.server_id in frozen_ids):
                     out.append(
                         self._violation(
@@ -453,6 +454,15 @@ class StateAuditor:
                 )
             )
         for row in ledger.rows():
+            if not math.isfinite(row.allocation_watts):
+                out.append(
+                    self._violation(
+                        "ledger",
+                        f"row {row.name!r} allocation {row.allocation_watts} W "
+                        "is not finite",
+                        {"row": row.name},
+                    )
+                )
             if row.allocation_watts < row.floor_watts - slack:
                 out.append(
                     self._violation(

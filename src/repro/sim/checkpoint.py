@@ -26,11 +26,12 @@ byte-identical to an uninterrupted run's (proven in
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
 from pathlib import Path
-from typing import Dict, Sequence, Union
+from typing import Dict, Sequence, Set, Union
 
 from repro.durability.atomic import atomic_write_text
 from repro.sim.campaign import CampaignCell, CampaignRow, CampaignRunConfig
@@ -58,6 +59,27 @@ def campaign_fingerprint(
     """
     text = repr((list(cells), run_config))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _legacy_fingerprints(
+    cells: Sequence[CampaignCell], run_config: CampaignRunConfig
+) -> Set[str]:
+    """Fingerprints the same campaign had under an ``engine_backend`` field.
+
+    Builds with a switchable engine carried that run-config field just
+    before ``tenancy``; every value it could hold ran the same
+    trajectories, so manifests written under any of them still resume.
+    """
+    fields = dataclasses.fields(run_config)
+    parts = [f"{f.name}={getattr(run_config, f.name)!r}" for f in fields]
+    at = [f.name for f in fields].index("tenancy")
+    cells_text = repr(list(cells))
+    fingerprints = set()
+    for label in (None, "object", "vectorized"):
+        legacy = parts[:at] + [f"engine_backend={label!r}"] + parts[at:]
+        text = f"({cells_text}, {type(run_config).__name__}({', '.join(legacy)}))"
+        fingerprints.add(hashlib.sha256(text.encode("utf-8")).hexdigest())
+    return fingerprints
 
 
 def _cell_filename(index: int) -> str:
@@ -100,7 +122,10 @@ class CampaignCheckpoint:
                     f"checkpoint version {manifest.get('version')!r} is not "
                     f"supported (this build writes {CHECKPOINT_VERSION})"
                 )
-            if manifest.get("fingerprint") != fingerprint:
+            if manifest.get("fingerprint") not in {
+                fingerprint,
+                *_legacy_fingerprints(cells, run_config),
+            }:
                 raise CheckpointError(
                     "checkpoint fingerprint mismatch: the directory belongs "
                     "to a different campaign (grid or run configuration "

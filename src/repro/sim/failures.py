@@ -6,7 +6,7 @@ as a Poisson process over the fleet (exponential per-server lifetimes)
 and repairs each machine after an exponential repair time, exercising:
 
 - the scheduler's kill-and-resubmit path,
-- the resource tracker's failed mask,
+- the scheduler's placement filter over the store's failed column,
 - the controller's stateless tolerance of servers that vanish from the
   power snapshot (a failed server reads 0 W).
 """
@@ -79,7 +79,7 @@ class ServerFailureInjector:
     @property
     def fleet_failure_rate(self) -> float:
         """Failures per second across the whole fleet."""
-        return len(self.scheduler.tracker) / self.mtbf_seconds
+        return len(self.scheduler.servers) / self.mtbf_seconds
 
     def start(self, until: float) -> None:
         self._until = until
@@ -114,7 +114,7 @@ class ServerFailureInjector:
         )
 
     def _fail_one(self) -> None:
-        alive = [s for s in self.scheduler.tracker.servers if not s.failed]
+        alive = [s for s in self.scheduler.servers if not s.failed]
         if alive:
             victim = alive[self.rng.integers(len(alive))]
             killed = self.scheduler.fail_server(victim.server_id)

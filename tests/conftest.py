@@ -1,34 +1,14 @@
 """Shared fixtures for the test suite."""
 
-import os
+from typing import List
 
 import numpy as np
 import pytest
 
 from repro.cluster.power import PowerModelParams
 from repro.cluster.server import Server
-from repro.cluster.state import BACKEND_ENV_VAR, BACKENDS, set_default_backend
+from repro.cluster.state import ClusterState
 from repro.sim.engine import Engine
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--engine-backend",
-        choices=BACKENDS,
-        default=None,
-        help="replay the whole suite against one engine backend "
-        "(trajectories are byte-identical across backends, so every "
-        "test must pass unchanged under either)",
-    )
-
-
-def pytest_configure(config):
-    backend = config.getoption("--engine-backend")
-    if backend is not None:
-        # Install via the environment as well as the process default so
-        # campaign worker processes spawned by parallel tests inherit it.
-        os.environ[BACKEND_ENV_VAR] = backend
-        set_default_backend(backend)
 
 
 @pytest.fixture
@@ -43,6 +23,19 @@ def rng() -> np.random.Generator:
 
 def make_server(server_id: int = 0, cores: int = 16, **kwargs) -> Server:
     return Server(server_id, cores=cores, **kwargs)
+
+
+def make_servers(n: int, first_id: int = 0, cores: int = 16, **kwargs) -> List[Server]:
+    """``n`` servers with ids ``first_id..`` registered with one shared store.
+
+    Groups, IPMI fleets and schedulers require a shared store; this is
+    the fixture-side equivalent of the builders in
+    :mod:`repro.cluster.datacenter`.
+    """
+    state = ClusterState(capacity=max(n, 1))
+    return [
+        Server(first_id + i, cores=cores, state=state, **kwargs) for i in range(n)
+    ]
 
 
 @pytest.fixture

@@ -97,7 +97,7 @@ def test_overcommitted_cores_detected():
 def test_frozen_mask_drift_detected():
     experiment = advanced_experiment()
     scheduler = experiment.testbed.scheduler
-    server = scheduler.tracker.servers[0]
+    server = scheduler.servers[0]
     assert server.server_id not in scheduler.frozen_server_ids()
     server.frozen = True  # bypass the scheduler's freeze bookkeeping
     violations = recording_auditor(experiment).audit(sample=False)
@@ -140,6 +140,16 @@ def test_ledger_overallocation_detected():
     messages = " | ".join(v.message for v in violations)
     assert "above the facility budget" in messages
     assert "above its feed rating" in messages
+
+
+def test_ledger_non_finite_allocation_detected():
+    experiment = FleetExperiment(tiny_fleet_config())
+    experiment.start()
+    experiment.advance(1800.0)
+    experiment.ledger.rows()[0].allocation_watts = float("nan")
+    violations = recording_auditor(experiment).audit(sample=False)
+    assert {v.check for v in violations} == {"ledger"}
+    assert any("is not finite" in v.message for v in violations)
 
 
 # ---------------------------------------------------------------------------

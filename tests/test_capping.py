@@ -1,5 +1,6 @@
 """Tests for the RAPL-like reactive power-capping engine."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.capping import CappingEngine
@@ -8,16 +9,14 @@ from repro.cluster.group import ServerGroup
 from repro.sim.engine import Engine
 from repro.sim.events import EventPriority
 from repro.workload.job import Job
-from tests.conftest import make_server
+from tests.conftest import make_servers
 
 
 def loaded_group(n=4, cores_used=16):
     """A group of fully loaded servers."""
-    servers = []
-    for i in range(n):
-        server = make_server(i)
+    servers = make_servers(n)
+    for i, server in enumerate(servers):
         server.add_task(Job(i, 1e6, cores=cores_used, memory_gb=1.0))
-        servers.append(server)
     return ServerGroup("g", servers)
 
 
@@ -221,19 +220,21 @@ class TestCappingUnderFailures:
 
 
 class TestMidTickFailureAcrossBackends:
-    """Regression for the capped-time seam under the vectorized store.
+    """Regression for the capped-time seam under the columnar store.
 
     A capped server that dies *between* two capping control ticks (the
     crash event lands mid-interval, scheduled on the simulation engine)
-    must stop accruing capped-server-seconds, come back at full
-    frequency, and produce bit-identical capping books on the object and
-    vectorized backends.
+    must stop accruing capped-server-seconds and come back at full
+    frequency -- whether it fails through the per-server view
+    (``"object"``: ``Server.fail()``) or the store's mask primitive
+    (``"vectorized"``: ``ClusterState.fail_servers``) -- and both paths
+    must leave bit-identical capping books.
     """
 
     @staticmethod
     def run_scenario(backend):
         engine = Engine()
-        row = build_row(0, racks=1, servers_per_rack=8, engine_backend=backend)
+        row = build_row(0, racks=1, servers_per_rack=8)
         for i, server in enumerate(row.servers):
             server.add_task(Job(i, 1e6, cores=14, memory_gb=1.0))
         row.power_budget_watts = row.power_watts() * 0.85
@@ -246,7 +247,10 @@ class TestMidTickFailureAcrossBackends:
             capped = [s for s in row.servers if s.is_capped]
             assert capped, "scenario must produce at least one capped server"
             victim = capped[0]
-            victim.fail()
+            if backend == "object":
+                victim.fail()
+            else:
+                row.state.fail_servers(np.array([victim._index]))
             trace["victim"] = victim
             trace["at_crash"] = capper.stats.capped_server_seconds
 
@@ -275,6 +279,7 @@ class TestMidTickFailureAcrossBackends:
         assert victim.power_watts() == 0.0
 
     def test_books_byte_identical_across_backends(self):
+        """Per-server and mask failure leave bit-identical capping books."""
         obj_row, obj_capper, obj_trace = self.run_scenario("object")
         vec_row, vec_capper, vec_trace = self.run_scenario("vectorized")
         assert obj_capper.stats == vec_capper.stats

@@ -9,12 +9,13 @@ from repro.monitor.power_monitor import PowerMonitor
 from repro.scheduler.omega import OmegaScheduler
 from repro.sim.engine import Engine
 from repro.workload.job import Job
-from tests.conftest import make_server
+from tests.conftest import make_servers
+from tests.scalar_oracle import placement_matches
 
 
 def rig(n=10, seed=0):
     engine = Engine()
-    servers = [make_server(i) for i in range(n)]
+    servers = make_servers(n)
     scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(seed))
     group = ServerGroup("row", servers)
     monitor = PowerMonitor(engine, noise_sigma=0.0)
@@ -31,7 +32,7 @@ class TestPowerState:
         assert servers[0].power_watts() == 0.0
         assert group.power_watts() < before
         # Not a placement candidate.
-        assert 0 not in scheduler.tracker.candidates(1.0, 1.0)
+        assert 0 not in scheduler.candidates(1.0, 1.0)
 
     def test_cannot_power_off_busy_server(self):
         engine, servers, scheduler, group, monitor = rig()
@@ -49,7 +50,7 @@ class TestPowerState:
         scheduler.power_on_server(0)
         assert scheduler.queued_jobs == 0
         assert job.is_running
-        assert scheduler.tracker.mirror_matches_servers()
+        assert placement_matches(scheduler)
 
 
 class TestController:

@@ -14,7 +14,7 @@ from repro.monitor.power_monitor import PowerMonitor
 from repro.scheduler.omega import OmegaScheduler
 from repro.sim.engine import Engine
 from repro.workload.generator import BatchWorkloadGenerator, ConstantRateProfile
-from tests.conftest import make_server
+from tests.conftest import make_servers
 
 
 class TestThermalModel:
@@ -134,7 +134,7 @@ class Rig:
 
     def __init__(self, n=40, utilization=0.3, seed=0):
         self.engine = Engine()
-        servers = [make_server(i) for i in range(n)]
+        servers = make_servers(n)
         self.scheduler = OmegaScheduler(
             self.engine, servers, rng=np.random.default_rng(seed)
         )

@@ -15,6 +15,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -68,27 +69,56 @@ def _reference_csv(tmp_path) -> bytes:
     return path.read_bytes()
 
 
+def _group_members(pgid: int) -> list:
+    """PIDs of the processes (zombies excluded) in process group ``pgid``."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue  # exited while we looked
+        # Fields after the ")" closing the command name: state, ppid, pgrp.
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry.name))
+    return members
+
+
 def _run_python(code: str, log_path: Path) -> int:
     """Run ``code`` in a child interpreter; return its exit code.
 
     Output goes to a file, not a pipe: after the SIGKILL, orphaned pool
     workers still hold the child's stdout/stderr, and waiting for pipe
     EOF (as ``capture_output`` does) would block on them instead of on
-    the child we actually killed.
+    the child we actually killed. The child leads its own session, so
+    once it is dead those orphans are reaped with one ``killpg``.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + str(REPO_ROOT)
     with open(log_path, "wb") as log:
-        proc = subprocess.run(
+        proc = subprocess.Popen(
             [sys.executable, "-c", code],
             env=env,
             cwd=REPO_ROOT,
             stdin=subprocess.DEVNULL,
             stdout=log,
             stderr=log,
-            timeout=600,
+            start_new_session=True,
         )
-    return proc.returncode
+        try:
+            returncode = proc.wait(timeout=600)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # nothing outlived the child
+    deadline = time.monotonic() + 10.0
+    while _group_members(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _group_members(proc.pid) == [], "child left processes behind"
+    return returncode
 
 
 def _kill_child(checkpoint_dir, kill_after: int, parallel: bool) -> None:

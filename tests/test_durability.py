@@ -2,16 +2,18 @@
 
 The headline contract: a simulation snapshotted at time T and restored
 in a fresh process finishes with a result **byte-identical** to the
-uninterrupted run -- on either engine backend, with chaos injected, for
-both the single-row and fleet harnesses. Below it, the snapshot frame
-(magic/version/checksum) rejects every corrupted input with a
-structured error, and the atomic write helper never leaves torn files
-or stray temporaries. Campaign checkpoint directories get the same
+uninterrupted run -- with chaos injected, for both the single-row and
+fleet harnesses, and also when the pickled state still carries the
+``engine_backend`` labels of builds that had a switchable engine. Below
+it, the snapshot frame (magic/version/checksum) rejects every corrupted
+input with a structured error, and the atomic write helper never leaves
+torn files or stray temporaries. Campaign checkpoint directories get the same
 treatment at cell granularity.
 """
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -39,7 +41,21 @@ from repro.sim.fleet_experiment import (
 )
 from repro.sim.testbed import WorkloadSpec
 
-BACKENDS = ("object", "vectorized")
+#: labels the removed engine switch could leave in pickled state
+LEGACY_BACKENDS = ("object", "vectorized")
+
+
+def stamp_legacy_backend(experiment, label: str) -> None:
+    """Give a live run the attributes a build with the engine switch
+    pickled: ``config.engine_backend``, ``ClusterState.backend`` and,
+    for single-row runs, ``Testbed.engine_backend``."""
+    object.__setattr__(experiment.config, "engine_backend", label)
+    testbed = getattr(experiment, "testbed", None)
+    if testbed is not None:
+        testbed.engine_backend = label
+        testbed.state.backend = label
+    else:
+        experiment.state.backend = label
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -80,7 +96,7 @@ def tiny_fleet_config(**overrides) -> FleetExperimentConfig:
 
 def result_json_without_config(result) -> str:
     """Canonical result document minus the config (which differs when
-    only the auditor/backend knobs change, not the trajectory)."""
+    only the auditor knob changes, not the trajectory)."""
     doc = result_to_dict(result)
     doc.pop("config")
     return json.dumps(doc, sort_keys=True)
@@ -204,53 +220,74 @@ def test_atomic_write_cleans_temp_on_failure(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LEGACY_BACKENDS)
 def test_experiment_snapshot_resume_is_byte_identical(backend, tmp_path):
-    config = tiny_config(safety=SafetyConfig(), engine_backend=backend)
+    config = tiny_config(safety=SafetyConfig())
     uninterrupted = ControlledExperiment(config).run()
 
     experiment = ControlledExperiment(config)
     experiment.start()
     experiment.advance(1800.0)
+    stamp_legacy_backend(experiment, backend)
     path = tmp_path / "mid.snap"
     experiment.save_snapshot(path)
 
-    resumed = ControlledExperiment.restore(path).finish()
+    restored = ControlledExperiment.restore(path)
+    assert restored.config.engine_backend == backend  # carried, ignored
+    resumed = restored.finish()
     assert result_json_without_config(resumed) == result_json_without_config(
         uninterrupted
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+#: A snapshot of ``tiny_config(safety=SafetyConfig())`` at t = 1800 s,
+#: written by a build that still had the engine switch (``backend`` in
+#: the header, ``engine_backend`` on the config and testbed) and the
+#: scheduler's separate resource tracker.
+LEGACY_SNAPSHOT = Path(__file__).parent / "golden" / "legacy_engine_switch.snap"
+
+
+def test_snapshot_from_engine_switch_build_restores_and_resumes():
+    assert read_header(LEGACY_SNAPSHOT)["meta"]["backend"] == "object"
+    restored = ControlledExperiment.restore(LEGACY_SNAPSHOT)
+    assert restored.testbed.engine_backend == "object"  # carried, ignored
+    uninterrupted = ControlledExperiment(tiny_config(safety=SafetyConfig())).run()
+    assert result_json_without_config(restored.finish()) == result_json_without_config(
+        uninterrupted
+    )
+
+
+@pytest.mark.parametrize("backend", LEGACY_BACKENDS)
 def test_chaos_snapshot_resume_is_byte_identical(backend):
     config = tiny_config(
         duration_hours=1.5,
         warmup_hours=1.0,  # builtin scenario times assume the 1 h warm-up
         faults=builtin_scenarios()["data-chaos"],
         safety=SafetyConfig(),
-        engine_backend=backend,
     )
     uninterrupted = ControlledExperiment(config).run()
 
     experiment = ControlledExperiment(config)
     experiment.start()
     experiment.advance(4000.0)  # mid-chaos
+    stamp_legacy_backend(experiment, backend)
     resumed = ControlledExperiment.restore(experiment.snapshot()).finish()
     assert result_json_without_config(resumed) == result_json_without_config(
         uninterrupted
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LEGACY_BACKENDS)
 def test_fleet_snapshot_resume_is_byte_identical(backend, tmp_path):
     from repro.analysis.serialize import fleet_result_to_dict
 
-    config = tiny_fleet_config(engine_backend=backend)
+    config = tiny_fleet_config()
     uninterrupted = FleetExperiment(config).run()
 
     experiment = FleetExperiment(config)
     experiment.start()
     experiment.advance(1800.0)
+    stamp_legacy_backend(experiment, backend)
     path = tmp_path / "fleet.snap"
     experiment.save_snapshot(path)
     resumed = FleetExperiment.restore(path).finish()
@@ -389,6 +426,31 @@ def test_resume_without_checkpoint_dir_is_an_error():
         tiny_campaign().run(resume=True)
 
 
+#: ``campaign_fingerprint`` of ``tiny_campaign()`` as written by builds
+#: whose run config still had ``engine_backend=None``
+LEGACY_TINY_CAMPAIGN_FINGERPRINT = (
+    "1a4c481d8f26b45ac3fb92e8ba0222540956d4991eaeef624497c464b58371da"
+)
+
+
+def test_checkpoint_with_legacy_engine_backend_fingerprint_resumes(tmp_path):
+    directory = tmp_path / "ck"
+    first = tiny_campaign().run(checkpoint_dir=directory)
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["fingerprint"] = LEGACY_TINY_CAMPAIGN_FINGERPRINT
+    manifest_path.write_text(json.dumps(manifest))
+    campaign = tiny_campaign()
+    completed = CampaignCheckpoint(directory).initialize(
+        campaign.cells, campaign.run_config, resume=True
+    )
+    assert sorted(completed) == list(range(len(campaign.cells)))
+    resumed = campaign.run(checkpoint_dir=directory, resume=True)
+    assert [r.as_record() for r in resumed.rows] == [
+        r.as_record() for r in first.rows
+    ]
+
+
 def test_checkpoint_initialize_reports_completed_rows(tmp_path):
     campaign = tiny_campaign()
     directory = tmp_path / "ck"
@@ -399,3 +461,29 @@ def test_checkpoint_initialize_reports_completed_rows(tmp_path):
     )
     assert sorted(completed) == list(range(len(campaign.cells)))
     assert all(row.ok for row in completed.values())
+
+
+def test_snapshot_with_null_freeze_policy_restores_power_ordered(tmp_path):
+    """A controller pickled with ``freeze_policy=None`` (the field was
+    optional before the power-ordered policy became the default) restores
+    with that policy and resumes byte-identically."""
+    from repro.core.policy import PowerOrderedFreezePolicy
+
+    config = tiny_config(
+        over_provision_ratio=0.25, workload=WorkloadSpec(target_utilization=0.4)
+    )
+    uninterrupted = ControlledExperiment(config).run()
+
+    experiment = ControlledExperiment(config)
+    experiment.start()
+    experiment.advance(1800.0)
+    freezes_before = experiment.controller.state_of("experiment").freeze_actions
+    experiment.controller.freeze_policy = None
+    restored = ControlledExperiment.restore(experiment.snapshot())
+    assert isinstance(restored.controller.freeze_policy, PowerOrderedFreezePolicy)
+    resumed = restored.finish()
+    assert result_json_without_config(resumed) == result_json_without_config(
+        uninterrupted
+    )
+    # The restored policy really planned freezes after the restore.
+    assert restored.controller.state_of("experiment").freeze_actions > freezes_before

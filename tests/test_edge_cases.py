@@ -12,12 +12,13 @@ from repro.monitor.power_monitor import PowerMonitor
 from repro.scheduler.omega import OmegaScheduler
 from repro.sim.engine import Engine
 from repro.workload.job import Job
-from tests.conftest import make_server
+from tests.conftest import make_servers
+from tests.scalar_oracle import placement_matches
 
 
 def cluster(n=10, seed=0):
     engine = Engine()
-    servers = [make_server(i) for i in range(n)]
+    servers = make_servers(n)
     scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(seed))
     return engine, servers, scheduler
 
@@ -59,7 +60,7 @@ class TestFreezeQueueInterplay:
         scheduler.unfreeze(host.server_id)
         engine.run(until=300.0)
         assert job.is_finished
-        assert scheduler.tracker.mirror_matches_servers()
+        assert placement_matches(scheduler)
 
 
 class TestControllerGranularity:
@@ -67,7 +68,7 @@ class TestControllerGranularity:
         """floor(u * n) == 0 on a tiny row: the controller commands zero
         servers and must not thrash."""
         engine = Engine()
-        servers = [make_server(i) for i in range(3)]
+        servers = make_servers(3)
         scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(1))
         group = ServerGroup("row", servers)
         group.power_budget_watts = group.power_watts() / 0.99  # just over threshold
@@ -88,7 +89,7 @@ class TestControllerGranularity:
 class TestOverlappingGroups:
     def test_two_groups_over_same_servers_are_consistent(self):
         engine = Engine()
-        servers = [make_server(i) for i in range(8)]
+        servers = make_servers(8)
         whole = ServerGroup("whole", servers)
         half = ServerGroup("half", servers[:4])
         monitor = PowerMonitor(engine, noise_sigma=0.0)
@@ -118,7 +119,7 @@ class TestEngineReuse:
         """At a shared timestamp the monitor samples before the controller
         reads -- the controller must see the fresh value."""
         engine = Engine()
-        servers = [make_server(i) for i in range(4)]
+        servers = make_servers(4)
         scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(2))
         group = ServerGroup("row", servers)
         group.power_budget_watts = group.power_watts() / 1.02

@@ -10,13 +10,13 @@ from repro.sim.engine import Engine
 from repro.sim.eventlog import ControlEventLog
 from repro.sim.events import EventPriority
 from repro.workload.job import Job
-from tests.conftest import make_server
+from tests.conftest import make_servers
 
 
 @pytest.fixture
 def setup():
     engine = Engine()
-    servers = [make_server(i) for i in range(4)]
+    servers = make_servers(4)
     scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(0))
     log = ControlEventLog(engine)
     log.attach_scheduler(scheduler)

@@ -34,7 +34,7 @@ from repro.sim.engine import Engine
 from repro.sim.experiment import ControlledExperiment, ExperimentConfig
 from repro.sim.testbed import WorkloadSpec
 from repro.workload.generator import ConstantRateProfile, SurgeRateProfile
-from tests.conftest import make_server
+from tests.conftest import make_servers
 
 
 class Harness:
@@ -42,7 +42,7 @@ class Harness:
 
     def __init__(self, n=10, budget_scale=1.0, scheduler_wrap=None):
         self.engine = Engine()
-        self.servers = [make_server(i) for i in range(n)]
+        self.servers = make_servers(n)
         self.inner_scheduler = OmegaScheduler(
             self.engine, self.servers, rng=np.random.default_rng(3)
         )
@@ -205,7 +205,7 @@ class TestFaultScenario:
 class TestFlakyScheduler:
     def _fleet(self, failure_rate, seed=0):
         engine = Engine()
-        servers = [make_server(i) for i in range(4)]
+        servers = make_servers(4)
         inner = OmegaScheduler(engine, servers, rng=np.random.default_rng(3))
         return inner, FlakyScheduler(
             inner, rng=np.random.default_rng(seed), failure_rate=failure_rate
@@ -376,53 +376,64 @@ class TestMonitorOutage:
         assert harness.monitor.violation_count("row") == 1
 
 
+class DarkBmcRng:
+    """Fleet rng whose timeout lottery is rigged: the uniforms drawn for
+    the positions in ``dark`` are 0.0 (always a timeout), every other
+    uniform is 1.0 (never one); noise draws come from a real generator."""
+
+    def __init__(self, dark, inner=None):
+        self.dark = set(dark)
+        self.inner = inner if inner is not None else np.random.default_rng(0)
+
+    def random(self, n):
+        return np.array([0.0 if pos in self.dark else 1.0 for pos in range(n)])
+
+    def standard_normal(self, n):
+        return self.inner.standard_normal(n)
+
+
 class TestIpmiStalenessBound:
-    def _fleet(self, n=3, max_fallback_polls=2):
-        servers = [make_server(i) for i in range(n)]
+    def _fleet(self, n=3, max_fallback_polls=2, dark=(0,)):
+        servers = make_servers(n)
         return servers, IpmiFleet(
             servers,
-            rng=np.random.default_rng(0),
+            rng=DarkBmcRng(dark),
             noise_sigma=0.0,
-            failure_rate=0.0,
+            failure_rate=0.5,
             max_fallback_polls=max_fallback_polls,
         )
 
     def test_carry_through_is_bounded(self):
-        servers, fleet = self._fleet(max_fallback_polls=2)
-        fleet.endpoints[0].read_power = lambda: None  # BMC 0 goes dark
-        first = fleet.poll_all()
-        second = fleet.poll_all()
+        servers, fleet = self._fleet(max_fallback_polls=2)  # BMC 0 is dark
+        first = fleet.poll()
+        second = fleet.poll()
         # Within the bound: the last known value is replayed.
         assert first[0] == second[0] == servers[0].power_params.idle_watts
         assert fleet.fallbacks_used == 2
         assert 0 not in fleet.stale_ids
         # Past the bound: the endpoint is declared stale and reads NaN.
-        third = fleet.poll_all()
+        third = fleet.poll()
         assert np.isnan(third[0])
         assert fleet.stale_ids == {0}
         assert fleet.stale_reads == 1
 
     def test_successful_poll_clears_staleness(self):
         _, fleet = self._fleet(max_fallback_polls=0)
-        endpoint = fleet.endpoints[0]
-        endpoint.read_power = lambda: None
-        assert np.isnan(fleet.poll_all()[0])
+        assert np.isnan(fleet.poll()[0])
         assert fleet.stale_ids == {0}
-        del endpoint.read_power  # the BMC answers again
-        healed = fleet.poll_all()
+        fleet.rng.dark.clear()  # the BMC answers again
+        healed = fleet.poll()
         assert np.isfinite(healed[0])
         assert fleet.stale_ids == set()
 
     def test_monitor_drops_group_sample_when_all_bmcs_stale(self):
         engine = Engine()
-        servers = [make_server(i) for i in range(3)]
-        group = ServerGroup("row", servers)
+        group = ServerGroup("row", make_servers(3))
         monitor = PowerMonitor(engine, noise_sigma=0.01, ipmi_failure_rate=0.01)
         monitor.register_group(group)
         fleet = monitor._fleets["row"]
         fleet.max_fallback_polls = 0
-        for endpoint in fleet.endpoints.values():
-            endpoint.read_power = lambda: None
+        fleet.rng = DarkBmcRng({0, 1, 2}, inner=fleet.rng)
         monitor.sample_once()
         assert monitor.samples_suppressed == 1
         assert monitor.stale_readings == 3
@@ -431,13 +442,13 @@ class TestIpmiStalenessBound:
 
     def test_partial_staleness_keeps_series_honest(self):
         engine = Engine()
-        servers = [make_server(i) for i in range(3)]
+        servers = make_servers(3)
         group = ServerGroup("row", servers)
         monitor = PowerMonitor(engine, noise_sigma=0.01, ipmi_failure_rate=0.01)
         monitor.register_group(group)
         fleet = monitor._fleets["row"]
         fleet.max_fallback_polls = 0
-        fleet.endpoints[0].read_power = lambda: None  # one dark BMC
+        fleet.rng = DarkBmcRng({0}, inner=fleet.rng)  # one dark BMC
         monitor.sample_once()
         # The group total is the nansum of the two live readings.
         assert monitor.stale_readings == 1

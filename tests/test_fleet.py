@@ -109,6 +109,35 @@ class TestBudgetLedger:
         with pytest.raises(LedgerError, match="exceeds the feed rating"):
             ledger.apply({"row-0": 1300.0, "row-1": 1000.0})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_apply_rejects_non_finite_allocation(self, bad):
+        """Fail closed: NaN slips past every ``<``/``>`` guard, so it must
+        be rejected explicitly -- and leave the ledger untouched."""
+        ledger = make_ledger([1000.0, 1000.0], budget=3000.0)
+        before = ledger.allocations()
+        with pytest.raises(LedgerError, match="not finite"):
+            ledger.apply({"row-0": bad, "row-1": 50.0})
+        assert ledger.allocations() == before
+        assert ledger.stats.rejected == 1
+        assert ledger.stats.applies == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floors_and_budgets_rejected(self, bad):
+        ledger = make_ledger([1000.0, 1000.0])
+        with pytest.raises(LedgerError, match="finite"):
+            ledger.set_floor("row-0", bad)
+        assert ledger.row("row-0").floor_watts == 0.0
+        with pytest.raises(ValueError):
+            BudgetLedger(bad, make_rows([1000.0]))
+        with pytest.raises(ValueError):
+            RowBudget("r", rating_watts=bad, static_watts=1000.0)
+        with pytest.raises(ValueError):
+            RowBudget("r", rating_watts=2000.0, static_watts=bad)
+        with pytest.raises(ValueError):
+            RowBudget("r", rating_watts=2000.0, static_watts=1000.0, floor_watts=bad)
+        with pytest.raises(ValueError):
+            RowBudget("r", rating_watts=2000.0, static_watts=1000.0, allocation_watts=bad)
+
     def test_apply_requires_complete_assignment(self):
         ledger = make_ledger([1000.0, 1000.0])
         with pytest.raises(LedgerError, match="assignment names"):

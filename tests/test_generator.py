@@ -13,7 +13,7 @@ from repro.workload.generator import (
     ModulatedRateProfile,
     SECONDS_PER_DAY,
 )
-from tests.conftest import make_server
+from tests.conftest import make_servers
 
 
 class TestConstantProfile:
@@ -132,7 +132,7 @@ class TestBurstyProfile:
 class TestGenerator:
     def make(self, rate=1.0, until=3600.0):
         engine = Engine()
-        servers = [make_server(i) for i in range(8)]
+        servers = make_servers(8)
         scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(0))
         generator = BatchWorkloadGenerator(
             engine,
@@ -162,7 +162,7 @@ class TestGenerator:
 
     def test_job_ids_unique_and_offset(self):
         engine = Engine()
-        servers = [make_server(i) for i in range(4)]
+        servers = make_servers(4)
         scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(0))
         seen = []
         generator = BatchWorkloadGenerator(
@@ -177,7 +177,7 @@ class TestGenerator:
 
     def test_row_affinity_attached(self):
         engine = Engine()
-        servers = [make_server(i) for i in range(4)]
+        servers = make_servers(4)
         for s in servers:
             s.row_id = 3
         scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(0))
@@ -196,7 +196,7 @@ class TestGenerator:
     def test_thinning_tracks_time_varying_rate(self):
         """Arrivals concentrate where the rate is high."""
         engine = Engine()
-        servers = [make_server(i) for i in range(4)]
+        servers = make_servers(4)
         scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(0))
         profile = DiurnalRateProfile(1.0, amplitude=0.8)
         arrivals = []

@@ -12,13 +12,13 @@ from repro.workload.interactive import (
     RedisBenchmark,
     lindley_waits,
 )
-from tests.conftest import make_server
+from tests.conftest import make_server, make_servers
 
 
 @pytest.fixture
 def setup():
     engine = Engine()
-    servers = [make_server(i) for i in range(4)]
+    servers = make_servers(4)
     scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(0))
     return engine, servers, scheduler
 

@@ -4,40 +4,42 @@ import numpy as np
 import pytest
 
 from repro.cluster.group import ServerGroup
-from repro.monitor.ipmi import BmcEndpoint, IpmiFleet
+from repro.monitor.ipmi import IpmiFleet
 from repro.monitor.power_monitor import PowerMonitor
 from repro.workload.job import Job
-from tests.conftest import make_server
+from tests.conftest import make_servers
+
+
+def one_bmc(rng, **kwargs):
+    """A single server behind its own one-endpoint fleet."""
+    (server,) = make_servers(1)
+    return server, IpmiFleet([server], rng, **kwargs)
 
 
 class TestBmcEndpoint:
     def test_reading_tracks_true_power(self, rng):
-        server = make_server()
-        endpoint = BmcEndpoint(server, rng, noise_sigma=0.0, failure_rate=0.0)
-        assert endpoint.read_power() == pytest.approx(server.power_watts(), abs=0.5)
+        server, fleet = one_bmc(rng, noise_sigma=0.0, failure_rate=0.0)
+        assert fleet.poll()[0] == pytest.approx(server.power_watts(), abs=0.5)
         server.add_task(Job(1, 100.0, cores=8, memory_gb=2))
-        assert endpoint.read_power() == pytest.approx(server.power_watts(), abs=0.5)
+        assert fleet.poll()[0] == pytest.approx(server.power_watts(), abs=0.5)
 
     def test_quantization(self, rng):
-        server = make_server()
-        endpoint = BmcEndpoint(server, rng, noise_sigma=0.0, failure_rate=0.0,
-                               quantize_watts=5.0)
-        reading = endpoint.read_power()
+        _, fleet = one_bmc(rng, noise_sigma=0.0, failure_rate=0.0, quantize_watts=5.0)
+        reading = fleet.poll()[0]
         assert reading % 5.0 == pytest.approx(0.0)
 
     def test_timeouts_occur_at_configured_rate(self, rng):
-        server = make_server()
-        endpoint = BmcEndpoint(server, rng, failure_rate=0.2)
-        results = [endpoint.read_power() for _ in range(2000)]
-        timeout_fraction = sum(r is None for r in results) / len(results)
+        _, fleet = one_bmc(rng, failure_rate=0.2, max_fallback_polls=10**6)
+        for _ in range(2000):
+            fleet.poll()
+        timeout_fraction = fleet.total_timeouts / fleet.total_polls
         assert 0.15 < timeout_fraction < 0.25
-        assert endpoint.timeouts == sum(r is None for r in results)
+        assert fleet.fallbacks_used == fleet.total_timeouts
 
     def test_reading_never_negative(self, rng):
-        server = make_server()
-        endpoint = BmcEndpoint(server, rng, noise_sigma=2.0, failure_rate=0.0)
+        _, fleet = one_bmc(rng, noise_sigma=2.0, failure_rate=0.0)
         for _ in range(200):
-            assert endpoint.read_power() >= 0.0
+            assert fleet.poll()[0] >= 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -45,21 +47,19 @@ class TestBmcEndpoint:
     )
     def test_validation(self, rng, kwargs):
         with pytest.raises(ValueError):
-            BmcEndpoint(make_server(), rng, **kwargs)
+            IpmiFleet(make_servers(1), rng, **kwargs)
 
 
 class TestIpmiFleet:
     def test_poll_all_complete_despite_timeouts(self, rng):
-        servers = [make_server(i) for i in range(20)]
+        servers = make_servers(20)
         fleet = IpmiFleet(servers, rng, failure_rate=0.3)
         for _ in range(10):
-            readings = fleet.poll_all()
-            assert set(readings) == {s.server_id for s in servers}
+            readings = fleet.poll()
+            assert readings.shape == (len(servers),)
             # Every reading is a real wattage, except NaN where the BMC
             # blew its bounded fallback budget.
-            assert all(
-                v >= 0 or np.isnan(v) for v in readings.values()
-            )
+            assert all(v >= 0 or np.isnan(v) for v in readings)
         assert fleet.total_timeouts > 0
         # Every timeout is covered: by the last known value while within
         # the fallback budget, as an explicit stale NaN beyond it.
@@ -67,23 +67,26 @@ class TestIpmiFleet:
         assert fleet.fallbacks_used > 0
 
     def test_fallback_uses_last_known(self, rng):
-        server = make_server()
-        fleet = IpmiFleet([server], np.random.default_rng(0),
-                          noise_sigma=0.0, failure_rate=0.0)
-        first = fleet.poll_all()[0]
+        _, fleet = one_bmc(np.random.default_rng(0), noise_sigma=0.0, failure_rate=0.0)
+        first = fleet.poll()[0]
         # Force timeouts from now on.
-        fleet.endpoints[0].failure_rate = 0.9999999
-        assert fleet.poll_all()[0] == first
+        fleet.failure_rate = 0.9999999
+        assert fleet.poll()[0] == first
+        assert fleet.total_timeouts == 1
 
     def test_empty_fleet_rejected(self, rng):
         with pytest.raises(ValueError):
             IpmiFleet([], rng)
 
+    def test_servers_of_different_stores_rejected(self, rng):
+        servers = make_servers(2) + make_servers(1, first_id=2)
+        with pytest.raises(ValueError, match="share one ClusterState"):
+            IpmiFleet(servers, rng)
+
 
 class TestMonitorIntegration:
     def test_monitor_with_ipmi_backend(self, engine, rng):
-        servers = [make_server(i) for i in range(10)]
-        group = ServerGroup("g", servers)
+        group = ServerGroup("g", make_servers(10))
         monitor = PowerMonitor(
             engine, noise_sigma=0.01, rng=rng, ipmi_failure_rate=0.05
         )

@@ -83,23 +83,6 @@ def _straggler_runner(cell: CampaignCell, config: CampaignRunConfig) -> Campaign
     return run_cell(cell, config)
 
 
-def _backend_pinned_fail_once_runner(
-    cell: CampaignCell, config: CampaignRunConfig
-) -> CampaignRow:
-    """Transient failure plus the re-dispatch determinism contract: by the
-    time a worker sees the config, the engine backend must be pinned to a
-    concrete value (never None), so a retry on a worker with a different
-    environment cannot resolve to a different backend."""
-    assert config.engine_backend in ("object", "vectorized"), (
-        f"backend not pinned at the worker boundary: {config.engine_backend!r}"
-    )
-    marker = Path(os.environ[FAIL_DIR_ENV]) / f"seen-{cell.seed}-{cell.over_provision_ratio}"
-    if not marker.exists():
-        marker.touch()
-        raise OSError("transient failure")
-    return run_cell(cell, config)
-
-
 def _sleepy_dummy_runner(cell: CampaignCell, config: CampaignRunConfig) -> CampaignRow:
     """Finishes in *reverse* cell order (earlier seeds sleep longer), so
     completion order is shuffled relative to submission order."""
@@ -251,24 +234,6 @@ class TestHardening:
         elapsed = time.monotonic() - started
         assert (tmp_path / "stalled-once").exists(), "straggler never dispatched"
         assert elapsed < 8.0, "campaign waited out the stalled worker"
-        reference = [run_cell(cell, campaign.run_config) for cell in campaign.cells]
-        assert [r.as_record() for r in rows] == [r.as_record() for r in reference]
-
-    def test_retry_redispatch_keeps_backend_pinned(self, tmp_path, monkeypatch):
-        """Regression: a retried cell must run under the same (resolved)
-        engine backend as its first dispatch and as the serial reference
-        -- the parent pins the backend into the shipped config."""
-        monkeypatch.setenv(FAIL_DIR_ENV, str(tmp_path))
-        campaign = tiny_campaign(seeds=(3,))
-        assert campaign.run_config.engine_backend is None  # parent resolves it
-        rows = run_cells_parallel(
-            campaign.cells,
-            campaign.run_config,
-            max_workers=2,
-            cell_runner=_backend_pinned_fail_once_runner,
-            retries=1,
-        )
-        assert all(r.ok for r in rows), [r.error for r in rows]
         reference = [run_cell(cell, campaign.run_config) for cell in campaign.cells]
         assert [r.as_record() for r in rows] == [r.as_record() for r in reference]
 

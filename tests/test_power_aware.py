@@ -1,10 +1,12 @@
 """Tests for power-aware cross-row placement (the Section 6 extension)."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.datacenter import build_datacenter
+from repro.scheduler.omega import OmegaScheduler
 from repro.scheduler.power_aware import CoolestRowPolicy
-from repro.scheduler.resources import ResourceTracker
+from repro.sim.engine import Engine
 from repro.sim.steering_experiment import SteeringConfig, run_steering_scenario
 from repro.workload.job import Job
 
@@ -22,34 +24,34 @@ def load_row(row, cores=12):
 class TestCoolestRowPolicy:
     def test_prefers_cool_row(self, datacenter, rng):
         load_row(datacenter.rows[0])  # row 0 hot, row 1 idle
-        tracker = ResourceTracker(datacenter.servers)
+        tracker = OmegaScheduler(Engine(), datacenter.servers, np.random.default_rng(0))
         policy = CoolestRowPolicy(datacenter.rows, temperature=0.0)
         candidates = tracker.candidates(1.0, 1.0)
         chosen_rows = {
-            tracker.server_at(policy.select(tracker, candidates, rng)).row_id
+            tracker.servers[policy.select(tracker, candidates, rng)].row_id
             for _ in range(30)
         }
         assert chosen_rows == {1}
 
     def test_soft_mode_still_biased(self, datacenter, rng):
         load_row(datacenter.rows[0])
-        tracker = ResourceTracker(datacenter.servers)
+        tracker = OmegaScheduler(Engine(), datacenter.servers, np.random.default_rng(0))
         policy = CoolestRowPolicy(datacenter.rows, temperature=0.05)
         candidates = tracker.candidates(1.0, 1.0)
         counts = {0: 0, 1: 0}
         for _ in range(400):
             index = policy.select(tracker, candidates, rng)
-            counts[tracker.server_at(index).row_id] += 1
+            counts[tracker.servers[index].row_id] += 1
         assert counts[1] > 2 * counts[0]
 
     def test_balanced_rows_split_roughly_evenly(self, datacenter, rng):
-        tracker = ResourceTracker(datacenter.servers)
+        tracker = OmegaScheduler(Engine(), datacenter.servers, np.random.default_rng(0))
         policy = CoolestRowPolicy(datacenter.rows, temperature=0.05)
         candidates = tracker.candidates(1.0, 1.0)
         counts = {0: 0, 1: 0}
         for _ in range(400):
             index = policy.select(tracker, candidates, rng)
-            counts[tracker.server_at(index).row_id] += 1
+            counts[tracker.servers[index].row_id] += 1
         assert 0.5 < counts[0] / counts[1] < 2.0
 
     def test_validation(self, datacenter):

@@ -14,12 +14,12 @@ from repro.workload.replay import (
     read_job_trace,
     write_job_trace,
 )
-from tests.conftest import make_server
+from tests.conftest import make_servers
 
 
 def make_cluster(seed=0, n=8):
     engine = Engine()
-    servers = [make_server(i) for i in range(n)]
+    servers = make_servers(n)
     for server in servers:
         server.row_id = 0  # traces below carry allowed_rows={0}
     scheduler = OmegaScheduler(engine, servers, rng=np.random.default_rng(seed))
@@ -129,7 +129,7 @@ class TestReplay:
         totals = {}
         for name, policy in (("random", None), ("bestfit", BestFitPolicy())):
             engine = Engine()
-            servers = [make_server(i) for i in range(8)]
+            servers = make_servers(8)
             for server in servers:
                 server.row_id = 0
             scheduler = OmegaScheduler(

@@ -8,13 +8,22 @@ from repro.scheduler.policies import (
     LeastLoadedPolicy,
     RandomAvailablePolicy,
 )
-from repro.scheduler.resources import ResourceTracker
-from tests.conftest import make_server
+from repro.scheduler.omega import OmegaScheduler
+from repro.sim.engine import Engine
+from repro.workload.job import Job
+from tests.conftest import make_servers
 
 
 @pytest.fixture
 def tracker():
-    return ResourceTracker([make_server(i) for i in range(8)])
+    """A scheduler over 8 servers; policies read free cores through it."""
+    return OmegaScheduler(Engine(), make_servers(8), np.random.default_rng(0))
+
+
+def load(scheduler, position, cores, memory_gb):
+    """Occupy resources on one server (a long-running task)."""
+    server = scheduler.servers[position]
+    server.add_task(Job(100 + len(server.tasks), 1e9, cores=cores, memory_gb=memory_gb))
 
 
 class TestRandomAvailable:
@@ -37,13 +46,13 @@ class TestRandomAvailable:
 
 class TestLeastLoaded:
     def test_picks_most_free(self, tracker, rng):
-        tracker.on_place(0, 8.0, 8.0)
-        tracker.on_place(1, 4.0, 4.0)
+        load(tracker, 0, 8.0, 8.0)
+        load(tracker, 1, 4.0, 4.0)
         candidates = np.array([0, 1, 2])
         assert LeastLoadedPolicy().select(tracker, candidates, rng) == 2
 
     def test_ties_broken_among_best(self, tracker, rng):
-        tracker.on_place(0, 8.0, 8.0)
+        load(tracker, 0, 8.0, 8.0)
         candidates = np.array([0, 1, 2])
         chosen = {LeastLoadedPolicy().select(tracker, candidates, rng) for _ in range(60)}
         assert chosen <= {1, 2}
@@ -52,7 +61,7 @@ class TestLeastLoaded:
 
 class TestBestFit:
     def test_picks_least_free_that_fits(self, tracker, rng):
-        tracker.on_place(0, 8.0, 8.0)
-        tracker.on_place(1, 12.0, 4.0)
+        load(tracker, 0, 8.0, 8.0)
+        load(tracker, 1, 12.0, 4.0)
         candidates = np.array([0, 1, 2])
         assert BestFitPolicy().select(tracker, candidates, rng) == 1
