@@ -347,6 +347,7 @@ class Testbed:
             product=product,
             job_id_offset=len(self.generators) * 10_000_000,
             tenant=tenant,
+            shares_rng_with=self.generators,
         )
         self.generators.append(generator)
         return generator

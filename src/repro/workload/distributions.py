@@ -11,6 +11,7 @@ is locked in by tests.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -43,6 +44,20 @@ class JobDurationDistribution:
     max_seconds: float = DURATION_MAX_MINUTES * 60.0
     min_seconds: float = 5.0
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.log_mu_minutes) and math.isfinite(self.log_sigma)):
+            raise ValueError(
+                f"lognormal parameters must be finite, got mu={self.log_mu_minutes}, "
+                f"sigma={self.log_sigma}"
+            )
+        if self.log_sigma < 0:
+            raise ValueError(f"log_sigma must be non-negative, got {self.log_sigma}")
+        if not (0 < self.min_seconds <= self.max_seconds < math.inf):
+            raise ValueError(
+                "clip bounds need 0 < min_seconds <= max_seconds < inf, got "
+                f"[{self.min_seconds}, {self.max_seconds}]"
+            )
+
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         """Draw ``size`` durations in seconds."""
         minutes = rng.lognormal(self.log_mu_minutes, self.log_sigma, size=size)
@@ -50,7 +65,9 @@ class JobDurationDistribution:
         return np.clip(seconds, self.min_seconds, self.max_seconds)
 
     def sample_one(self, rng: np.random.Generator) -> float:
-        return float(self.sample(rng, 1)[0])
+        """Draw one duration: the same draw and value as ``sample(rng, 1)[0]``."""
+        seconds = rng.lognormal(self.log_mu_minutes, self.log_sigma) * 60.0
+        return float(min(max(seconds, self.min_seconds), self.max_seconds))
 
     def cdf(self, seconds: float) -> float:
         """Analytic CDF of the (clipped) distribution."""
@@ -101,17 +118,49 @@ class ResourceDemandDistribution:
     def __post_init__(self) -> None:
         if len(self.core_choices) != len(self.core_weights):
             raise ValueError("core_choices and core_weights must have equal length")
+        if not all(0 < c < math.inf for c in self.core_choices):
+            raise ValueError(
+                f"core_choices must be positive and finite, got {self.core_choices}"
+            )
+        if not all(0 <= w < math.inf for w in self.core_weights):
+            raise ValueError(
+                f"core_weights must be non-negative and finite, got {self.core_weights}"
+            )
+        if not 0 <= self.memory_per_core_gb < math.inf:
+            raise ValueError(
+                "memory_per_core_gb must be non-negative and finite, got "
+                f"{self.memory_per_core_gb}"
+            )
         total = sum(self.core_weights)
         if not math.isclose(total, 1.0, rel_tol=1e-9):
             raise ValueError(f"core_weights must sum to 1.0, got {total}")
+        self._build_cdf()
+
+    def __setstate__(self, state: dict) -> None:
+        # Snapshots from before the CDF existed carry only the fields.
+        self.__dict__.update(state)
+        self._build_cdf()
+
+    def _build_cdf(self) -> None:
+        # Built exactly as ``Generator.choice(p=)`` builds it on every
+        # call, so ``bisect_right`` on one ``random()`` picks the same
+        # index as its ``searchsorted(side="right")``.
+        cdf = np.cumsum(np.asarray(self.core_weights, dtype=np.float64))
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_cdf", cdf.tolist())
+        object.__setattr__(self, "_cores", tuple(float(c) for c in self.core_choices))
 
     @property
     def mean_cores(self) -> float:
         return sum(c * w for c, w in zip(self.core_choices, self.core_weights))
 
     def sample(self, rng: np.random.Generator) -> Tuple[float, float]:
-        """Draw one ``(cores, memory_gb)`` demand."""
-        cores = float(rng.choice(self.core_choices, p=self.core_weights))
+        """Draw one ``(cores, memory_gb)`` demand.
+
+        One ``rng.random()``: the same draw and value as
+        ``rng.choice(core_choices, p=core_weights)``.
+        """
+        cores = self._cores[bisect_right(self._cdf, rng.random())]
         return cores, cores * self.memory_per_core_gb
 
 

@@ -5,11 +5,16 @@ Rate profiles compose a deterministic shape (constant or diurnal) with an
 optional mean-reverting AR(1) modulation that reproduces the minute-scale
 spikes and valleys of Figure 8 / Figure 9: smooth on the hour scale, with
 occasional several-percent power jumps within a single minute.
+
+Every profile parameter is checked at construction in a form that also
+refuses NaN, and ``max_rate`` must be finite: an infinite thinning bound
+would make every gap zero.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
@@ -45,8 +50,10 @@ class ConstantRateProfile(RateProfile):
     """Fixed arrival rate."""
 
     def __init__(self, jobs_per_second: float) -> None:
-        if jobs_per_second < 0:
-            raise ValueError(f"rate must be non-negative, got {jobs_per_second}")
+        if not 0 <= jobs_per_second < math.inf:
+            raise ValueError(
+                f"rate must be non-negative and finite, got {jobs_per_second}"
+            )
         self._rate = jobs_per_second
 
     def rate(self, t: float) -> float:
@@ -70,12 +77,16 @@ class DiurnalRateProfile(RateProfile):
         period_seconds: float = SECONDS_PER_DAY,
         phase_seconds: float = 0.0,
     ) -> None:
-        if base_jobs_per_second < 0:
-            raise ValueError(f"base rate must be non-negative, got {base_jobs_per_second}")
+        if not 0 <= base_jobs_per_second < math.inf:
+            raise ValueError(
+                f"base rate must be non-negative and finite, got {base_jobs_per_second}"
+            )
         if not 0.0 <= amplitude < 1.0:
             raise ValueError(f"amplitude must be in [0, 1), got {amplitude}")
-        if period_seconds <= 0:
-            raise ValueError(f"period must be positive, got {period_seconds}")
+        if not 0 < period_seconds < math.inf:
+            raise ValueError(f"period must be positive and finite, got {period_seconds}")
+        if not math.isfinite(phase_seconds):
+            raise ValueError(f"phase must be finite, got {phase_seconds}")
         self.base = base_jobs_per_second
         self.amplitude = amplitude
         self.period = period_seconds
@@ -112,13 +123,15 @@ class ModulatedRateProfile(RateProfile):
         floor: float = 0.55,
         ceil: float = 1.45,
     ) -> None:
-        if horizon_seconds <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon_seconds}")
-        if step_seconds <= 0:
-            raise ValueError(f"step must be positive, got {step_seconds}")
+        if not 0 < horizon_seconds < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {horizon_seconds}")
+        if not 0 < step_seconds < math.inf:
+            raise ValueError(f"step must be positive and finite, got {step_seconds}")
         if not 0.0 <= rho < 1.0:
             raise ValueError(f"rho must be in [0, 1), got {rho}")
-        if floor <= 0 or ceil < floor:
+        if not math.isfinite(sigma):
+            raise ValueError(f"sigma must be finite, got {sigma}")
+        if not 0 < floor <= ceil < math.inf:
             raise ValueError(f"invalid clip range [{floor}, {ceil}]")
         self.base = base
         self.step = step_seconds
@@ -126,12 +139,17 @@ class ModulatedRateProfile(RateProfile):
         self.ceil = ceil
         rng = np.random.default_rng(seed)
         n_steps = int(math.ceil(horizon_seconds / step_seconds)) + 2
-        multipliers = np.empty(n_steps)
+        multipliers = []
         x = 1.0
-        for k in range(n_steps):
+        for _ in range(n_steps):
             x = 1.0 + rho * (x - 1.0) + sigma * rng.standard_normal()
-            multipliers[k] = min(ceil, max(floor, x))
+            multipliers.append(min(ceil, max(floor, x)))
         self._multipliers = multipliers
+
+    def __setstate__(self, state: dict) -> None:
+        # Snapshots from before the list kept the multipliers in an array.
+        self.__dict__.update(state)
+        self._multipliers = [float(m) for m in self._multipliers]
 
     def rate(self, t: float) -> float:
         index = min(len(self._multipliers) - 1, max(0, int(t / self.step)))
@@ -162,14 +180,18 @@ class BurstyRateProfile(RateProfile):
         burst_factor: float = 2.0,
         mean_burst_seconds: float = 1800.0,
     ) -> None:
-        if horizon_seconds <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon_seconds}")
-        if bursts_per_day < 0:
-            raise ValueError(f"bursts_per_day must be non-negative, got {bursts_per_day}")
-        if burst_factor < 1.0:
-            raise ValueError(f"burst_factor must be >= 1.0, got {burst_factor}")
-        if mean_burst_seconds <= 0:
-            raise ValueError(f"mean_burst_seconds must be positive, got {mean_burst_seconds}")
+        if not 0 < horizon_seconds < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {horizon_seconds}")
+        if not 0 <= bursts_per_day < math.inf:
+            raise ValueError(
+                f"bursts_per_day must be non-negative and finite, got {bursts_per_day}"
+            )
+        if not 1.0 <= burst_factor < math.inf:
+            raise ValueError(f"burst_factor must be finite and >= 1.0, got {burst_factor}")
+        if not 0 < mean_burst_seconds < math.inf:
+            raise ValueError(
+                f"mean_burst_seconds must be positive and finite, got {mean_burst_seconds}"
+            )
         self.base = base
         self.burst_factor = burst_factor
         rng = np.random.default_rng(seed)
@@ -182,12 +204,32 @@ class BurstyRateProfile(RateProfile):
                 if t >= horizon_seconds:
                     break
                 windows.append((t, t + rng.exponential(mean_burst_seconds)))
-        self._starts = np.array([w[0] for w in windows])
-        self._ends = np.array([w[1] for w in windows])
+        self._starts = [start for start, _ in windows]
+        self._ends = [end for _, end in windows]
+        self._index_windows()
+
+    def __setstate__(self, state: dict) -> None:
+        # Snapshots from before the index kept the windows in arrays.
+        self.__dict__.update(state)
+        self._starts = [float(start) for start in self._starts]
+        self._ends = [float(end) for end in self._ends]
+        self._index_windows()
+
+    def _index_windows(self) -> None:
+        # Starts ascend (cumulative gaps); ``_end_max[k]`` is the latest
+        # end among windows 0..k, so overlapping windows stay exact.
+        self._end_max = []
+        latest = -math.inf
+        for end in self._ends:
+            latest = max(latest, end)
+            self._end_max.append(latest)
 
     def rate(self, t: float) -> float:
         base_rate = self.base.rate(t)
-        if len(self._starts) and bool(np.any((self._starts <= t) & (t < self._ends))):
+        # Windows starting at or before t are 0..k-1; t is in one of
+        # them exactly when the latest of their ends lies after t.
+        k = bisect_right(self._starts, t)
+        if k and t < self._end_max[k - 1]:
             return base_rate * self.burst_factor
         return base_rate
 
@@ -197,7 +239,7 @@ class BurstyRateProfile(RateProfile):
 
     def burst_windows(self) -> List[tuple]:
         """The generated ``(start, end)`` burst windows (for inspection)."""
-        return list(zip(self._starts.tolist(), self._ends.tolist()))
+        return list(zip(self._starts, self._ends))
 
 
 class ScaledRateProfile(RateProfile):
@@ -210,8 +252,8 @@ class ScaledRateProfile(RateProfile):
     """
 
     def __init__(self, base: RateProfile, factor: float) -> None:
-        if factor <= 0:
-            raise ValueError(f"scale factor must be positive, got {factor}")
+        if not 0 < factor < math.inf:
+            raise ValueError(f"scale factor must be positive and finite, got {factor}")
         self.base = base
         self.factor = float(factor)
 
@@ -244,10 +286,14 @@ class SurgeRateProfile(RateProfile):
             (float(s), float(d), float(f)) for s, d, f in windows
         )
         for start, duration, factor in self.windows:
-            if start < 0 or duration <= 0 or factor <= 0:
+            if not (
+                0 <= start < math.inf
+                and 0 < duration < math.inf
+                and 0 < factor < math.inf
+            ):
                 raise ValueError(
-                    "surge windows need start >= 0, duration > 0, factor > 0, "
-                    f"got ({start}, {duration}, {factor})"
+                    "surge windows need finite start >= 0, duration > 0, "
+                    f"factor > 0, got ({start}, {duration}, {factor})"
                 )
 
     def rate(self, t: float) -> float:
@@ -284,6 +330,20 @@ class BatchWorkloadGenerator:
     tenant:
         Tenant name stamped on every generated job (``None`` when
         multi-tenancy is off).
+    shares_rng_with:
+        The generators that draw from ``rng`` too (this list may hold
+        this generator once it is attached); empty when ``rng`` is this
+        generator's alone. The caller keeps the list current.
+
+    Arrivals are thinned: candidates come at ``max_rate`` and each is
+    kept with probability ``rate(t) / max_rate``. A generator that is
+    the only unfinished consumer of its RNG resolves rejected candidates
+    inside the callback and schedules only the accepted one
+    (``_arrival``). Otherwise every candidate stays one heap event
+    (``_candidate_arrival``), so draws from generators sharing the RNG
+    interleave in time order. Either way the draws per RNG come in the
+    same order -- gap, uniform, [demand, duration], gap, ... -- so the
+    job stream is the same.
     """
 
     def __init__(
@@ -298,7 +358,20 @@ class BatchWorkloadGenerator:
         allowed_rows: Optional[Sequence[int]] = None,
         job_id_offset: int = 0,
         tenant: Optional[str] = None,
+        shares_rng_with: Sequence["BatchWorkloadGenerator"] = (),
     ) -> None:
+        if not 0 <= rate_profile.max_rate < math.inf:
+            raise ValueError(
+                f"max_rate must be non-negative and finite, got {rate_profile.max_rate}"
+            )
+        if any(peer._drawn_ahead for peer in shares_rng_with):
+            # Its look-ahead already drew for candidates up to its next
+            # arrival; with a second consumer those draws would have
+            # interleaved with the newcomer's.
+            raise RuntimeError(
+                "a generator sharing this RNG has drawn ahead; attach every "
+                "generator on one RNG before running the first"
+            )
         self.engine = engine
         self.scheduler = scheduler
         self.rate_profile = rate_profile
@@ -310,31 +383,80 @@ class BatchWorkloadGenerator:
         self.tenant = tenant
         self._next_job_id = job_id_offset
         self._until: Optional[float] = None
+        self._rng_peers: Optional[Sequence[BatchWorkloadGenerator]] = shares_rng_with
+        #: an ``_arrival`` whose candidates' draws are already made is pending
+        self._drawn_ahead = False
+        #: the arrival stream has ended: this generator draws no more
+        self.exhausted = False
         self.jobs_generated = 0
         #: optional observers called with each generated Job
         self.listeners: List[Callable[[Job], None]] = []
 
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if "_rng_peers" not in state:
+            # Restored from a build that kept every candidate on the heap
+            # and did not record who shares the RNG: keep doing that.
+            self._rng_peers = None
+            self._drawn_ahead = False
+            self.exhausted = False
+
     def start(self, until: float) -> None:
         """Begin generating arrivals until simulated time ``until``."""
         if self.rate_profile.max_rate <= 0:
+            self.exhausted = True
             return
         self._until = until
         self._schedule_next_candidate()
 
     # ------------------------------------------------------------------
+    def _owns_rng(self) -> bool:
+        """No other unfinished generator draws from ``self.rng``."""
+        peers = self._rng_peers
+        return peers is not None and all(
+            peer is self or peer.exhausted for peer in peers
+        )
+
     def _schedule_next_candidate(self) -> None:
-        """Thinning step: candidate arrivals come at the max rate."""
-        gap = self.rng.exponential(1.0 / self.rate_profile.max_rate)
-        t = self.engine.now + gap
-        if self._until is not None and t >= self._until:
-            return
-        self.engine.schedule(t, EventPriority.JOB_ARRIVAL, self._candidate_arrival)
+        """Draw candidate gaps at the max rate and schedule the next event.
+
+        With the RNG to itself, the generator also draws each candidate's
+        uniform here and schedules only the first accepted candidate;
+        otherwise it schedules the next candidate for its callback to
+        accept or reject.
+        """
+        rng = self.rng
+        profile = self.rate_profile
+        max_rate = profile.max_rate
+        scale = 1.0 / max_rate
+        look_ahead = self._owns_rng()
+        t = self.engine.now
+        while True:
+            t += rng.exponential(scale)
+            if t >= self._until:
+                self.exhausted = True
+                return
+            if not look_ahead:
+                self.engine.schedule(
+                    t, EventPriority.JOB_ARRIVAL, self._candidate_arrival
+                )
+                return
+            if rng.random() < profile.rate(t) / max_rate:
+                self._drawn_ahead = True
+                self.engine.schedule(t, EventPriority.JOB_ARRIVAL, self._arrival)
+                return
 
     def _candidate_arrival(self) -> None:
         now = self.engine.now
         accept_probability = self.rate_profile.rate(now) / self.rate_profile.max_rate
         if self.rng.random() < accept_probability:
             self._emit_job(now)
+        self._schedule_next_candidate()
+
+    def _arrival(self) -> None:
+        """An accepted candidate whose uniform was drawn ahead."""
+        self._drawn_ahead = False
+        self._emit_job(self.engine.now)
         self._schedule_next_candidate()
 
     def _emit_job(self, now: float) -> None:

@@ -9,6 +9,7 @@ jobs.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, FrozenSet, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -72,9 +73,11 @@ class Job:
         priority: int = 0,
         tenant: Optional[str] = None,
     ) -> None:
-        if work_seconds <= 0:
+        # Infinite work is a reservation that never completes (a pinned
+        # interactive service); NaN fails the comparison and is refused.
+        if not work_seconds > 0:
             raise ValueError(f"work_seconds must be positive, got {work_seconds}")
-        if cores <= 0 or memory_gb < 0:
+        if not (0 < cores < math.inf and 0 <= memory_gb < math.inf):
             raise ValueError(
                 f"invalid resource demand: cores={cores}, memory_gb={memory_gb}"
             )

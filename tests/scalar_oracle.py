@@ -7,8 +7,13 @@ filter -- as array expressions over one
 straightforward per-``Server`` formulation of each loop, written against
 the object API only, so the tests can hold the array path to it bit for
 bit (``tests/test_backend_equivalence.py``) and the vectorized-sweep
-benchmark can time one against the other. Nothing under ``src/``
-imports it.
+benchmark can time one against the other.
+
+It also keeps the arrival path's original formulation: the numpy
+samplers (``rng.choice(p=)``, a size-1 lognormal with ``np.clip``), the
+numpy burst-window scan and thinning with one engine event per candidate,
+which ``tests/test_arrival_path.py`` holds the production samplers and
+look-ahead to. Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.cluster.server import Server
+from repro.sim.events import EventPriority
 
 
 def total_power(servers: Sequence[Server]) -> float:
@@ -171,3 +177,69 @@ def placement_matches(scheduler) -> bool:
             if fast != placement_candidates(scheduler.servers, cores, memory_gb, rows):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Arrival path
+# ---------------------------------------------------------------------------
+
+
+def sample_demand(distribution, rng: np.random.Generator):
+    """``ResourceDemandDistribution.sample`` as one ``rng.choice(p=)``."""
+    cores = float(rng.choice(distribution.core_choices, p=distribution.core_weights))
+    return cores, cores * distribution.memory_per_core_gb
+
+
+def sample_duration(distribution, rng: np.random.Generator) -> float:
+    """``JobDurationDistribution.sample_one`` as a clipped size-1 array."""
+    minutes = rng.lognormal(distribution.log_mu_minutes, distribution.log_sigma, size=1)
+    seconds = minutes * 60.0
+    return float(np.clip(seconds, distribution.min_seconds, distribution.max_seconds)[0])
+
+
+def in_burst(windows, t: float) -> bool:
+    """Whether ``t`` lies in any ``[start, end)`` window: a scan of all."""
+    starts = np.array([start for start, _ in windows])
+    ends = np.array([end for _, end in windows])
+    return bool(len(starts) and np.any((starts <= t) & (t < ends)))
+
+
+def bursty_rate(profile, t: float) -> float:
+    """``BurstyRateProfile.rate`` with the window scan."""
+    base_rate = profile.base.rate(t)
+    if in_burst(profile.burst_windows(), t):
+        return base_rate * profile.burst_factor
+    return base_rate
+
+
+class PerCandidateGenerator:
+    """Thinning with one engine event per candidate, numpy samplers.
+
+    ``rate`` is the arrival intensity at ``t`` and ``max_rate`` its
+    bound; each generated job goes to ``submit``.
+    """
+
+    def __init__(self, engine, rate, max_rate, rng, duration, demand, submit):
+        self.engine = engine
+        self.rate = rate
+        self.max_rate = max_rate
+        self.rng = rng
+        self.duration = duration
+        self.demand = demand
+        self.submit = submit
+
+    def start(self, until: float) -> None:
+        self.until = until
+        self._schedule_next_candidate()
+
+    def _schedule_next_candidate(self) -> None:
+        t = self.engine.now + self.rng.exponential(1.0 / self.max_rate)
+        if t < self.until:
+            self.engine.schedule(t, EventPriority.JOB_ARRIVAL, self._candidate)
+
+    def _candidate(self) -> None:
+        now = self.engine.now
+        if self.rng.random() < self.rate(now) / self.max_rate:
+            cores, memory_gb = sample_demand(self.demand, self.rng)
+            self.submit(now, cores, memory_gb, sample_duration(self.duration, self.rng))
+        self._schedule_next_candidate()
