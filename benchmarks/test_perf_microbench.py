@@ -2,8 +2,8 @@
 
 Unlike the reproduction benchmarks (which run once and print paper
 tables), these are conventional pytest-benchmark timings: the event
-engine's scheduling throughput, the scheduler's candidate query,
-the monitor's sampling loop, the Lindley recursion, and a full simulated
+engine's scheduling throughput, the scheduler's candidate query and
+random placement, the monitor's sampling loop, the Lindley recursion, and a full simulated
 hour end-to-end. They exist so performance regressions in the substrate
 are visible in CI, since every experiment's wall-clock depends on them.
 """
@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from repro.scheduler.omega import OmegaScheduler
+from repro.scheduler.policies import RandomAvailablePolicy
 from repro.sim.engine import Engine
 from repro.sim.events import EventPriority
 from repro.sim.experiment import ControlledExperiment, ExperimentConfig
@@ -44,6 +45,43 @@ def test_perf_tracker_candidates(benchmark):
 
     result = benchmark(scheduler.candidates, 4.0, 8.0)
     assert len(result) > 0
+
+
+def _placement_cost(n_servers: int, rounds: int = 2000, repeats: int = 5) -> float:
+    """Seconds per random placement plus release, min over ``repeats``,
+    on ``n_servers`` 16-core servers half full of two-core jobs."""
+    scheduler = OmegaScheduler(Engine(), make_servers(n_servers), np.random.default_rng(0))
+    for i, server in enumerate(scheduler.servers):
+        for j in range(4):
+            server.add_task(Job(4 * i + j, 1e9, cores=2.0, memory_gb=4.0))
+    policy, rng, servers = RandomAvailablePolicy(), scheduler.rng, scheduler.servers
+    job = Job(-1, 1e9, cores=2.0, memory_gb=4.0)
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        for _ in range(rounds):
+            server = servers[policy.place(scheduler, 2.0, 4.0, None, rng)]
+            server.add_task(job)
+            server.remove_task(job)
+        best = min(best, (time.perf_counter() - started) / rounds)
+    return best
+
+
+def test_perf_placement_flat_in_n():
+    """Random placement costs about the same at 20,000 servers as at 400.
+
+    One ``RandomAvailablePolicy`` placement plus the release of the job,
+    so each round also pays for re-deriving the touched server's bits.
+    A scan over the store grows linearly in N and fails this gate.
+    """
+    small = _placement_cost(400)
+    large = _placement_cost(20_000)
+    print(f"\nplacement + release: 400 servers {small * 1e6:.1f} us, "
+          f"20,000 servers {large * 1e6:.1f} us ({large / small:.2f}x)")
+    assert large <= 2.0 * small, (
+        f"placement at 20,000 servers costs {large / small:.2f}x the 400-server "
+        f"cost ({large * 1e6:.1f} vs {small * 1e6:.1f} us)"
+    )
 
 
 def test_perf_monitor_sample(benchmark):

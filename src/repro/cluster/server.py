@@ -14,7 +14,10 @@ pass a shared store so whole rows become contiguous array slices, and
 groups, IPMI fleets and schedulers require that sharing -- their hot
 loops are array expressions over the store. A standalone ``Server()``
 gets a private single-slot store: fine on its own, but it cannot join a
-group with servers of another store.
+group with servers of another store. The setters of the five placement
+columns (``used_cores``, ``used_memory_gb``, ``frozen``, ``failed``,
+``powered_off``) also mark the slot dirty for the placement indices that
+cover it (:meth:`ClusterState.touch`).
 """
 
 from __future__ import annotations
@@ -98,6 +101,7 @@ class Server:
     @frozen.setter
     def frozen(self, value: bool) -> None:
         self._state.frozen[self._index] = value
+        self._state.touch(self._index)
 
     @property
     def failed(self) -> bool:
@@ -106,6 +110,7 @@ class Server:
     @failed.setter
     def failed(self, value: bool) -> None:
         self._state.failed[self._index] = value
+        self._state.touch(self._index)
 
     @property
     def powered_off(self) -> bool:
@@ -114,6 +119,7 @@ class Server:
     @powered_off.setter
     def powered_off(self, value: bool) -> None:
         self._state.powered_off[self._index] = value
+        self._state.touch(self._index)
 
     @property
     def frequency(self) -> float:
@@ -130,6 +136,7 @@ class Server:
     @used_cores.setter
     def used_cores(self, value: float) -> None:
         self._state.used_cores[self._index] = value
+        self._state.touch(self._index)
 
     @property
     def used_memory_gb(self) -> float:
@@ -138,6 +145,7 @@ class Server:
     @used_memory_gb.setter
     def used_memory_gb(self, value: float) -> None:
         self._state.used_memory_gb[self._index] = value
+        self._state.touch(self._index)
 
     @property
     def jobs_started(self) -> int:

@@ -36,6 +36,17 @@ possible:
 3. *RNG batching*: ``Generator.random(n)`` / ``standard_normal(n)``
    consume the underlying bit stream exactly like ``n`` scalar draws,
    so batched noise is draw-order-compatible by construction.
+
+Placement indices
+-----------------
+A scheduler's placement index (``repro.scheduler.index``) keeps, per
+demand shape, which of its slots are eligible. It learns of changes
+through one hook: every write to a placement column (``used_cores``,
+``used_memory_gb``, ``frozen``, ``failed``, ``powered_off``) through a
+``Server`` setter or a mask method here calls :meth:`ClusterState.touch`,
+which adds the slot to the dirty set of each index covering it. The
+watcher lists are per slot, so a write reaches only the schedulers that
+own the slot; they are runtime wiring and are never pickled.
 """
 
 from __future__ import annotations
@@ -122,6 +133,18 @@ class ClusterState:
         self._uniform_freq_exp: Optional[float] = None
         self._mixed_util_exp = False
         self._mixed_freq_exp = False
+        #: per slot, the dirty sets of the placement indices covering it;
+        #: empty until the first index registers (see :meth:`watch`)
+        self._watchers: List[tuple] = []
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_watchers"]  # indices re-register after a restore
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._watchers = []
 
     # ------------------------------------------------------------------
     # Registration
@@ -165,6 +188,8 @@ class ClusterState:
         self.freq_exp[i] = power_params.frequency_power_exponent
         self.frequency[i] = 1.0
         self._note_exponent(power_params)
+        if self._watchers:
+            self._watchers.append(())
         self.n += 1
         return i
 
@@ -261,6 +286,38 @@ class ClusterState:
         """Drop cached power for the given slots (scalar index or array)."""
         self.power_valid[indices] = False
 
+    def watch(self, slots: Sequence[int], dirty: set) -> None:
+        """Have every later write to ``slots`` add the slot to ``dirty``."""
+        self._watchers.extend([()] * (self.n - len(self._watchers)))
+        self._rewatch(slots, lambda current: current + (dirty,))
+
+    def unwatch(self, slots: Sequence[int], dirty: set) -> None:
+        """Undo :meth:`watch` for ``dirty``."""
+        self._rewatch(slots, lambda current: tuple(d for d in current if d is not dirty))
+
+    def _rewatch(self, slots: Sequence[int], change) -> None:
+        # Slots that had the same watchers share one tuple afterwards, so
+        # a row-sized index costs one tuple, not one per slot.
+        watchers = self._watchers
+        changed: dict = {}
+        for slot in slots:
+            current = watchers[slot]
+            entry = changed.get(id(current))
+            if entry is None:
+                entry = changed[id(current)] = (current, change(current))
+            watchers[slot] = entry[1]
+
+    def touch(self, slot: int) -> None:
+        """Mark one slot's placement columns changed (the index hook)."""
+        if self._watchers:
+            for dirty in self._watchers[slot]:
+                dirty.add(slot)
+
+    def _touch_many(self, indices) -> None:
+        if self._watchers:
+            for slot in np.arange(self.n)[indices].reshape(-1).tolist():
+                self.touch(slot)
+
     def fail_servers(self, indices) -> None:
         """Mask-apply ``Server.fail()`` semantics to many servers at once.
 
@@ -274,16 +331,19 @@ class ClusterState:
         self.failed[indices] = True
         self.frequency[indices] = 1.0
         self.power_valid[indices] = False
+        self._touch_many(indices)
 
     def repair_servers(self, indices) -> None:
         """Mask-apply ``Server.repair()``: back, empty, full frequency."""
         self.failed[indices] = False
         self.frequency[indices] = 1.0
         self.power_valid[indices] = False
+        self._touch_many(indices)
 
     def set_frozen(self, indices, frozen: bool) -> None:
         """Mask-apply freeze/unfreeze (power-neutral, cache untouched)."""
         self.frozen[indices] = frozen
+        self._touch_many(indices)
 
     def set_tenant(self, indices, tenant_id: int) -> None:
         """Tag slots with a tenant ordinal (0 = untenanted, the default).

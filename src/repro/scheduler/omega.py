@@ -4,14 +4,19 @@ The low level (this class) executes placements, schedules job-completion
 events on the simulation engine, and keeps completions correct when DVFS
 capping changes a server's execution speed. It keeps no copy of resource
 state: its servers share one :class:`~repro.cluster.state.ClusterState`,
-and a placement query ("which unfrozen servers fit 2 cores / 4 GB in
-row 3?") is one vectorized filter over that store's ``used_cores``,
-``used_memory_gb``, ``frozen``, ``failed`` and ``powered_off`` columns
-across the scheduler's slots -- the part of the paper's low-level
-scheduler that "tracks the status of resources [and] bundles them into
-abstract resource containers". The upper level is a set of per-product
-:class:`Framework` objects, each with its own FIFO queue (with bounded
-backfill) and placement policy.
+and "which unfrozen servers fit 2 cores / 4 GB in row 3?" is answered
+from that store's ``used_cores``, ``used_memory_gb``, ``frozen``,
+``failed`` and ``powered_off`` columns across the scheduler's slots --
+the part of the paper's low-level scheduler that "tracks the status of
+resources [and] bundles them into abstract resource containers". Two
+paths answer it with the same booleans: :meth:`OmegaScheduler.candidates`
+is one vectorized filter over the columns (least-loaded, best-fit and
+power-aware placement rank its result), and the default random policy
+counts and indexes the eligible servers in O(log N) through
+:class:`~repro.scheduler.index.PlacementIndex`, a Fenwick tree per
+demand shape kept current from the store's dirty slots. The upper level
+is a set of per-product :class:`Framework` objects, each with its own
+FIFO queue (with bounded backfill) and placement policy.
 
 Freezing a server only removes it from the candidate set for *new*
 placements; running jobs continue untouched -- the property Ampere's
@@ -28,6 +33,7 @@ import numpy as np
 from repro.cluster.server import Server
 from repro.cluster.state import shared_state_of
 from repro.scheduler.base import SchedulerInterface, SchedulerStats
+from repro.scheduler.index import PlacementIndex, Ranges
 from repro.scheduler.policies import PlacementPolicy, RandomAvailablePolicy
 from repro.sim.engine import Engine
 from repro.sim.events import EventPriority
@@ -42,10 +48,11 @@ _COMPLETION_EPSILON = 1e-6
 #: Slack on the fit test (``used + demand <= capacity + slack``).
 _FIT_SLACK = 1e-9
 
-#: Distinct demand shapes whose fit limits stay cached (a replayed trace
-#: may carry arbitrarily many; each entry costs two arrays of fleet size).
+#: Distinct demand shapes whose fit limits and eligible-set trees stay
+#: cached, and distinct ``allowed_rows`` sets whose row masks and ranges
+#: do (a replayed trace may carry arbitrarily many; each entry costs
+#: arrays of fleet size). A full cache is cleared, not evicted by age.
 _FIT_CACHE_ENTRIES = 16
-
 
 
 class Framework:
@@ -116,6 +123,9 @@ class OmegaScheduler(SchedulerInterface):
 
     def _bind(self, servers: List[Server]) -> None:
         """Adopt ``servers`` and the static placement data derived from them."""
+        old_index = self.__dict__.get("_placement")
+        if old_index is not None:
+            old_index.detach()
         self.servers = servers
         self.state, self._slot_index = shared_state_of(servers, "OmegaScheduler")
         self.index_of: Dict[int, int] = {s.server_id: i for i, s in enumerate(servers)}
@@ -138,6 +148,18 @@ class OmegaScheduler(SchedulerInterface):
             self._capacity = (cores.copy(), memory.copy())
         self._row_mask_cache: Dict[frozenset, np.ndarray] = {}
         self._fit_limits: Dict[Tuple[float, float], Tuple] = {}
+        self._row_range_cache: Dict[frozenset, List[Tuple[int, int]]] = {}
+        #: built on the first random placement (see ``placement_index``)
+        self._placement: Optional[PlacementIndex] = None
+
+    def __getstate__(self) -> dict:
+        # The index and the row ranges are derived from the columns and
+        # rebuilt on first use, so snapshots stay as they were without
+        # them.
+        state = self.__dict__.copy()
+        state.pop("_placement", None)
+        state.pop("_row_range_cache", None)
+        return state
 
     def __setstate__(self, state: dict) -> None:
         # Snapshots from builds that mirrored resources into a separate
@@ -147,6 +169,8 @@ class OmegaScheduler(SchedulerInterface):
         # placement data is derived on first use (``__getattr__``).
         tracker = state.pop("tracker", None)
         self.__dict__.update(state)
+        self._placement = None
+        self._row_range_cache = {}
         if tracker is not None:
             self.servers = tracker.servers
 
@@ -431,6 +455,15 @@ class OmegaScheduler(SchedulerInterface):
         Same booleans as ``Server.can_fit`` whenever the arithmetic is
         exact, as it is for the integral demands of every workload here.
         """
+        return np.flatnonzero(self._mask(cores, memory_gb, allowed_rows))
+
+    def _mask(
+        self,
+        cores: float,
+        memory_gb: float,
+        allowed_rows: Optional[frozenset] = None,
+    ) -> np.ndarray:
+        """Per-position eligibility behind :meth:`candidates`."""
         state, slots = self.state, self._slots
         core_limit, memory_limit = self._limits(cores, memory_gb)
         mask = state.used_cores[slots] <= core_limit
@@ -440,7 +473,15 @@ class OmegaScheduler(SchedulerInterface):
         mask &= ~blocked
         if allowed_rows is not None:
             mask &= self._row_mask(allowed_rows)
-        return np.flatnonzero(mask)
+        return mask
+
+    @property
+    def placement_index(self) -> PlacementIndex:
+        """The O(log N) eligible-server index, built on first use."""
+        index = self._placement
+        if index is None:
+            index = self._placement = PlacementIndex(self, _FIT_CACHE_ENTRIES)
+        return index
 
     def _limits(self, cores: float, memory_gb: float) -> Tuple:
         key = (cores, memory_gb)
@@ -459,9 +500,25 @@ class OmegaScheduler(SchedulerInterface):
     def _row_mask(self, allowed_rows: frozenset) -> np.ndarray:
         cached = self._row_mask_cache.get(allowed_rows)
         if cached is None:
+            if len(self._row_mask_cache) >= _FIT_CACHE_ENTRIES:
+                self._row_mask_cache.clear()
             allowed = np.fromiter(allowed_rows, dtype=np.int64)
             cached = np.isin(self.row_ids, allowed)
             self._row_mask_cache[allowed_rows] = cached
+        return cached
+
+    def row_ranges(self, allowed_rows: Optional[frozenset]) -> Optional[Ranges]:
+        """``[lo, hi)`` position runs inside ``allowed_rows`` (None: all)."""
+        if allowed_rows is None:
+            return None
+        cached = self._row_range_cache.get(allowed_rows)
+        if cached is None:
+            if len(self._row_range_cache) >= _FIT_CACHE_ENTRIES:
+                self._row_range_cache.clear()
+            padded = np.concatenate(([False], self._row_mask(allowed_rows), [False]))
+            edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+            cached = list(zip(edges[::2], edges[1::2]))
+            self._row_range_cache[allowed_rows] = cached
         return cached
 
     def free_cores(self, positions: np.ndarray) -> np.ndarray:
@@ -470,10 +527,11 @@ class OmegaScheduler(SchedulerInterface):
         return self.state.cores[slots] - self.state.used_cores[slots]
 
     def _try_place(self, job: Job, framework: Framework) -> bool:
-        candidates = self.candidates(job.cores, job.memory_gb, job.allowed_rows)
-        if len(candidates) == 0:
+        index = framework.policy.place(
+            self, job.cores, job.memory_gb, job.allowed_rows, self.rng
+        )
+        if index is None:
             return False
-        index = framework.policy.select(self, candidates, self.rng)
         self._place(job, index)
         return True
 

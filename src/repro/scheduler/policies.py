@@ -11,7 +11,7 @@ proportionality is only approximate.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -26,6 +26,23 @@ class PlacementPolicy(abc.ABC):
     per-server state (free cores, row ids) is read from the scheduler,
     which reads it from the shared store.
     """
+
+    def place(
+        self,
+        scheduler: "OmegaScheduler",
+        cores: float,
+        memory_gb: float,
+        allowed_rows: Optional[frozenset],
+        rng: np.random.Generator,
+    ) -> Optional[int]:
+        """Position for a new job, or None (no draw) when nothing fits.
+
+        By default: :meth:`select` over ``scheduler.candidates(...)``.
+        """
+        candidates = scheduler.candidates(cores, memory_gb, allowed_rows)
+        if len(candidates) == 0:
+            return None
+        return self.select(scheduler, candidates, rng)
 
     @abc.abstractmethod
     def select(
@@ -44,8 +61,27 @@ class RandomAvailablePolicy(PlacementPolicy):
     """Uniformly random choice among available servers (the default).
 
     Gives exactly the placement-proportional-to-availability behaviour the
-    paper's statistical control relies on.
+    paper's statistical control relies on. :meth:`place` counts and
+    indexes the eligible servers through the scheduler's placement index
+    (O(log N)) instead of materializing them; it draws the same
+    ``rng.integers(n)`` and lands on the same position as :meth:`select`
+    over ``candidates()``.
     """
+
+    def place(
+        self,
+        scheduler: "OmegaScheduler",
+        cores: float,
+        memory_gb: float,
+        allowed_rows: Optional[frozenset],
+        rng: np.random.Generator,
+    ) -> Optional[int]:
+        eligible = scheduler.placement_index.eligible(cores, memory_gb)
+        ranges = scheduler.row_ranges(allowed_rows)
+        count = eligible.count_in(ranges)
+        if count == 0:
+            return None
+        return eligible.kth(int(rng.integers(count)), ranges)
 
     def select(
         self,

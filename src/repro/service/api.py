@@ -64,6 +64,7 @@ from urllib.parse import parse_qs, urlparse
 from repro.service.app import ServiceApp, ServiceError
 from repro.service.dashboard import DASHBOARD_HTML
 from repro.service.driver import DriverBusy, DriverError, DriverTimeout
+from repro.service.wal import loads_finite
 from repro.telemetry import PROMETHEUS_CONTENT_TYPE
 
 logger = logging.getLogger(__name__)
@@ -139,7 +140,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         an uncaught ``ValueError`` turned 500), anything over
         ``MAX_BODY_BYTES`` is refused with 413 before a byte is read,
         and the read itself is capped by the validated length -- never
-        an unbounded ``rfile.read()``.
+        an unbounded ``rfile.read()``. ``NaN``, ``Infinity`` and numbers
+        that overflow are a 400 too, before any act runs.
         """
         declared = self.headers.get("Content-Length")
         if declared is None:
@@ -164,9 +166,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             return {}
         raw = self.rfile.read(length)
         try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ServiceError(400, f"request body is not JSON: {exc}")
+            doc = loads_finite(raw)
+        except ValueError as exc:  # JSONDecodeError or NonFiniteJson
+            raise ServiceError(400, f"request body is not finite JSON: {exc}")
         if not isinstance(doc, dict):
             raise ServiceError(400, "request body must be a JSON object")
         return doc

@@ -22,12 +22,15 @@ The log discipline (see :class:`ActWal`):
   damage at most the final line. :class:`ActWal` drops an unparseable
   tail on load (counted, never silent) and refuses corruption anywhere
   else.
+- Records parse through :func:`loads_finite`, as request bodies do: a
+  ``NaN``, ``Infinity`` or overflowing number is refused, never replayed.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -58,6 +61,31 @@ class WalError(RuntimeError):
     """The write-ahead log is corrupted beyond its repairable tail."""
 
 
+class NonFiniteJson(ValueError):
+    """A JSON document carries NaN, Infinity or a number that overflows."""
+
+
+def _refuse_constant(name: str):
+    raise NonFiniteJson(f"non-finite number {name} is refused")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise NonFiniteJson(f"number {text} overflows to {value}")
+    return value
+
+
+def loads_finite(raw: Union[str, bytes]):
+    """``json.loads`` that fails closed on non-finite numbers.
+
+    Python's parser accepts ``NaN``, ``Infinity`` and ``-Infinity`` and
+    turns ``1e999`` into ``inf``; each raises :class:`NonFiniteJson`
+    here, so no such value reaches an act at the API or on replay.
+    """
+    return json.loads(raw, parse_constant=_refuse_constant, parse_float=_finite_float)
+
+
 class WalRecord:
     """One applied act: monotonic ``seq``, sim-time, op name, payload."""
 
@@ -82,7 +110,7 @@ class WalRecord:
 
     @classmethod
     def from_line(cls, line: str) -> "WalRecord":
-        doc = json.loads(line)
+        doc = loads_finite(line)
         return cls(
             seq=int(doc["seq"]),
             sim_time=float(doc["sim_time"]),
@@ -125,6 +153,12 @@ class ActWal:
         for index, line in enumerate(body):
             try:
                 record = WalRecord.from_line(line.decode("utf-8"))
+            except NonFiniteJson as exc:
+                # A complete record, not a torn one: refuse it wherever
+                # it sits rather than drop it as damage.
+                raise WalError(
+                    f"WAL {self.path}: refused record at line {index + 1}: {exc}"
+                ) from exc
             except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
                 if index == len(body) - 1 and tail is None:
                     # A complete-looking but unparseable final line: treat

@@ -21,6 +21,12 @@ live state claims from first principles:
     The scheduler's authoritative frozen set matches the store's
     ``frozen`` column; failed servers hold the post-``fail()`` contract
     (full frequency, zero cached power if cached).
+``placement_index``
+    Every built eligible set of a scheduler's placement index, after a
+    flush of its dirty slots, holds the bits ``scheduler._mask`` gives
+    on the audited stratum, a count equal to the mask's, and Fenwick
+    sums equal to ones rebuilt from its bits -- so a column write that
+    bypassed the store's dirty-slot hook cannot skew placement unseen.
 ``ledger``
     Fleet budget conservation: allocations sum within the facility
     budget and each row sits in ``[floor, rating]``.
@@ -64,7 +70,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 logger = logging.getLogger(__name__)
 
 #: Every check the auditor knows, in execution order.
-ALL_CHECKS = ("event_queue", "numeric", "power_cache", "masks", "ledger")
+ALL_CHECKS = (
+    "event_queue",
+    "numeric",
+    "power_cache",
+    "masks",
+    "placement_index",
+    "ledger",
+)
 
 #: What to do when a pass finds violations.
 ON_VIOLATION_MODES = ("raise", "record", "escalate")
@@ -275,6 +288,8 @@ class StateAuditor:
                 self._check_power_cache(indices, violations)
             elif check == "masks":
                 self._check_masks(indices, violations)
+            elif check == "placement_index":
+                self._check_placement_index(indices, violations)
             elif check == "ledger":
                 self._check_ledger(violations)
         self.stats.passes += 1
@@ -433,6 +448,45 @@ class StateAuditor:
                         f"{int(bad.sum())} failed server(s) hold a capped "
                         "DVFS frequency",
                         {"server_ids": state.server_ids[slots].tolist()},
+                    )
+                )
+
+    def _check_placement_index(
+        self, indices: Optional[np.ndarray], out: List[InvariantViolation]
+    ) -> None:
+        from repro.scheduler.index import fenwick_nodes
+
+        for scheduler in self.schedulers:
+            index = scheduler._placement
+            if index is None:
+                continue  # not built yet: nothing can be stale
+            index.flush()
+            positions = (
+                slice(None)
+                if indices is None
+                else np.isin(scheduler._slot_index, indices)
+            )
+            problems = []
+            for (cores, memory_gb), shape in index.shapes.items():
+                mask = scheduler._mask(cores, memory_gb)
+                bits = np.frombuffer(shape.bits, dtype=np.uint8).astype(bool)
+                wrong = np.flatnonzero((bits != mask)[positions])
+                if wrong.size:
+                    problems.append(f"{cores:g}c/{memory_gb:g}g: {wrong.size} bit(s)")
+                if shape.count != int(np.count_nonzero(mask)):
+                    problems.append(
+                        f"{cores:g}c/{memory_gb:g}g: count {shape.count} != "
+                        f"{int(np.count_nonzero(mask))}"
+                    )
+                if shape.nodes != fenwick_nodes(bits):
+                    problems.append(f"{cores:g}c/{memory_gb:g}g: tree sums")
+            if problems:
+                out.append(
+                    self._violation(
+                        "placement_index",
+                        f"placement index disagrees with the store: "
+                        f"{'; '.join(problems)}",
+                        {"problems": problems},
                     )
                 )
 

@@ -167,14 +167,26 @@ PROBE_DEMANDS = (
 )
 
 
-def placement_matches(scheduler) -> bool:
+def placement_matches(scheduler, demands=PROBE_DEMANDS, row_sets=None) -> bool:
     """The scheduler's placement filter agrees with a brute-force scan of
-    its servers for every probe demand (and each row filter in use)."""
-    row_sets = [None] + [frozenset({int(r)}) for r in set(scheduler.row_ids.tolist())]
-    for cores, memory_gb in PROBE_DEMANDS:
+    its servers for every probe demand (and each row filter in use), and
+    its placement index agrees with the filter: per demand and row set
+    the index counts ``len(candidates())`` and its ``kth(k)`` is
+    ``candidates()[k]`` for every k."""
+    if row_sets is None:
+        rows_in_use = sorted(set(scheduler.row_ids.tolist()))
+        row_sets = [None] + [frozenset({r}) for r in rows_in_use]
+    index = scheduler.placement_index
+    for cores, memory_gb in demands:
         for rows in row_sets:
             fast = scheduler.candidates(cores, memory_gb, rows).tolist()
             if fast != placement_candidates(scheduler.servers, cores, memory_gb, rows):
+                return False
+            eligible = index.eligible(cores, memory_gb)
+            ranges = scheduler.row_ranges(rows)
+            if eligible.count_in(ranges) != len(fast):
+                return False
+            if [eligible.kth(k, ranges) for k in range(len(fast))] != fast:
                 return False
     return True
 

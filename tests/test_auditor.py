@@ -105,6 +105,34 @@ def test_frozen_mask_drift_detected():
     assert "disagrees with scheduler set" in violations[0].message
 
 
+def test_stale_placement_index_detected():
+    experiment = advanced_experiment()
+    scheduler = experiment.testbed.scheduler
+    index = scheduler._placement
+    assert index is not None and index.shapes, "placements build the index"
+    auditor = recording_auditor(experiment)
+    assert auditor.audit(sample=False) == []
+    shape = next(iter(index.shapes.values()))
+    shape.bits[3] ^= 1  # one bit, the tree left alone
+    shape.count += 1  # and one count
+    violations = auditor.audit(sample=False)
+    assert [v.check for v in violations] == ["placement_index"]
+    problems = violations[0].details["problems"]
+    assert any("1 bit(s)" in p for p in problems)
+    assert any("count" in p for p in problems)
+    assert any("tree sums" in p for p in problems)
+
+
+def test_column_write_bypassing_the_hook_detected():
+    experiment = advanced_experiment()
+    scheduler = experiment.testbed.scheduler
+    scheduler.placement_index.eligible(1.0, 2.0)
+    state = experiment.testbed.state
+    state.frozen[scheduler._slot_index[4]] = True  # no Server setter, no hook
+    violations = recording_auditor(experiment).audit(sample=False)
+    assert "placement_index" in {v.check for v in violations}
+
+
 def test_failed_server_with_capped_frequency_detected():
     experiment = advanced_experiment()
     state = experiment.testbed.state

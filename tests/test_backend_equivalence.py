@@ -15,7 +15,9 @@ byte**:
   power aggregation, per-server powers, the capping victim and restore
   orders, capped-time accounting, the IPMI sweep with timeouts and
   staleness, and the scheduler's placement filter after fail, repair,
-  power-off, shed and preempt sequences.
+  power-off, shed and preempt sequences. The placement index is held to
+  that filter the same way: per demand and row set its count is
+  ``len(candidates())`` and its k-th position is ``candidates()[k]``.
 """
 
 import hashlib
@@ -394,3 +396,120 @@ class TestPlacementOracle:
             assert_candidates_match(scheduler)
             free = scheduler.free_cores(np.arange(len(servers)))
             assert free.tolist() == [s.free_cores for s in servers]
+
+
+# ---------------------------------------------------------------------------
+# Placement index: count and k-th == candidates() after mutation sequences
+# ---------------------------------------------------------------------------
+
+INDEX_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["submit", "rows", "urgent", "run", "fail", "repair", "off", "on",
+             "shed", "freeze", "unfreeze", "set-frozen", "mask-fail",
+             "mask-repair", "mask-freeze", "mask-thaw"]
+        ),
+        st.integers(0, 47),
+        st.sampled_from([1.0, 2.0, 4.0, 8.0]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+#: demands probed after every op, with memory proportional as in the
+#: workloads, plus one that never fits
+INDEX_PROBES = ((1.0, 2.0), (2.0, 4.0), (4.0, 8.0), (8.0, 16.0), (16.0, 60.0), (33.0, 1.0))
+
+#: no filter, one row, and two rows whose positions are not adjacent
+INDEX_ROW_SETS = (None, frozenset({1}), frozenset({0, 2}))
+
+INDEX_LAYOUTS = ["uniform", "mixed-sku", "interleaved", "unsorted", "shared-8"]
+
+
+def index_layout(layout):
+    """``(store, schedulers' server lists)`` for one layout."""
+    if layout == "interleaved":
+        # Two rows in one store, the scheduler over every other slot of
+        # the second.
+        row_a = build_row(0, racks=1, servers_per_rack=12)
+        row_b = build_row(
+            1, racks=1, servers_per_rack=24, state=row_a.state, first_server_id=12
+        )
+        servers, groups = row_a.servers + row_b.servers, [row_a.servers + row_b.servers[::2]]
+    elif layout == "mixed-sku":  # per-server capacities, not one scalar
+        small, large = ServerSpec(cores=8, memory_gb=24.0), ServerSpec(cores=32)
+        row = build_heterogeneous_row(0, [(12, small), (12, large)], servers_per_rack=12)
+        servers = row.servers
+        groups = [servers[::2] + servers[1::2]]  # mixed SKUs, unsorted slots
+    else:
+        row = build_row(0, racks=1, servers_per_rack=24)
+        servers = row.servers
+        if layout == "unsorted":
+            groups = [servers[::-1][::2] + servers[::2]]
+        elif layout == "shared-8":  # eight schedulers on one store
+            groups = [servers[3 * j : 3 * j + 3] for j in range(8)]
+        else:
+            groups = [servers]
+    for i, server in enumerate(servers):
+        server.row_id = (i // 4) % 3
+    return servers[0]._state, groups
+
+
+class TestPlacementIndexOracle:
+    @FAST
+    @given(INDEX_OPS, st.sampled_from(INDEX_LAYOUTS))
+    def test_index_after_mutation_sequences(self, ops, layout):
+        engine = Engine()
+        state, groups = index_layout(layout)
+        schedulers = [
+            OmegaScheduler(engine, group, np.random.default_rng(j), enable_preemption=True)
+            for j, group in enumerate(groups)
+        ]
+
+        def check():
+            for scheduler in schedulers:
+                assert oracle.placement_matches(scheduler, INDEX_PROBES, INDEX_ROW_SETS)
+
+        check()  # build every index before the writes start
+        next_id = 0
+        for op, k, cores in ops:
+            scheduler = schedulers[k % len(schedulers)]
+            server = scheduler.servers[(k // len(schedulers)) % len(scheduler.servers)]
+            sid, slot = server.server_id, server._index
+            idle = not server.tasks
+            if op in ("submit", "rows", "urgent"):
+                next_id += 1
+                scheduler.submit(
+                    Job(next_id, 600.0 * cores, cores=cores, memory_gb=2.0 * cores,
+                        arrival_time=engine.now, priority=3 if op == "urgent" else 0,
+                        allowed_rows=frozenset({0, 2}) if op == "rows" else None)
+                )
+            elif op == "run":
+                engine.run(until=engine.now + 300.0 * cores)
+            elif op == "fail":
+                scheduler.fail_server(sid)
+            elif op == "repair":
+                scheduler.repair_server(sid)
+            elif op == "off":
+                if idle and not server.failed:
+                    scheduler.power_off_server(sid)
+            elif op == "on":
+                if server.powered_off:
+                    scheduler.power_on_server(sid)
+            elif op == "shed":
+                scheduler.shed_tasks(sid, max_tasks=1)
+            elif op == "freeze":
+                scheduler.freeze(sid)
+            elif op == "unfreeze":
+                scheduler.unfreeze(sid)
+            elif op == "set-frozen":  # a direct setter write
+                server.frozen = not server.frozen
+            elif op == "mask-fail":
+                if idle:
+                    state.fail_servers(np.array([slot]))
+            elif op == "mask-repair":
+                if idle:
+                    state.repair_servers(np.array([slot]))
+            else:
+                state.set_frozen(slot, op == "mask-freeze")
+            check()

@@ -351,6 +351,25 @@ class TestFleetService:
         _, _, after = get(fleet_service.url, "/api/ledger")
         assert after["rows"] == before["rows"]  # nothing changed
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_reallocation_rejected_before_the_act(
+        self, fleet_service, literal
+    ):
+        _, _, before = get(fleet_service.url, "/api/ledger")
+        body = '{"allocations": {"row-0": %s}}' % literal
+        request = urllib.request.Request(
+            fleet_service.url + "/api/budgets",
+            data=body.encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=60.0)
+        assert excinfo.value.code == 400
+        assert "finite" in json.loads(excinfo.value.read())["error"]
+        _, _, after = get(fleet_service.url, "/api/ledger")
+        assert after["rows"] == before["rows"]  # allocations() unchanged
+
     def test_unknown_row_rejected(self, fleet_service):
         status, _ = post_error(
             fleet_service.url,

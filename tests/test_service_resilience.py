@@ -201,6 +201,22 @@ class TestActWal:
         with pytest.raises(WalError, match="seq 5 after 1"):
             ActWal(path)
 
+    @pytest.mark.parametrize("last", [True, False])
+    def test_non_finite_record_refused_on_replay(self, tmp_path, last):
+        """A complete record carrying NaN is refused wherever it sits,
+        not replayed and not dropped as a torn tail."""
+        path = tmp_path / "acts.wal"
+        records = [
+            WalRecord(1, 600.0, "freeze", {"group": "a"}),
+            WalRecord(2, 1200.0, "reallocate", {"allocations": {"row-0": float("nan")}}),
+            WalRecord(3, 1800.0, "unfreeze", {"group": "a"}),
+        ]
+        lines = [r.to_line() for r in (records[:2] if last else records)]
+        assert "NaN" in lines[1]
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(WalError, match="refused record at line 2"):
+            ActWal(path)
+
     def test_replay_advances_and_applies(self):
         experiment = ControlledExperiment(small_config())
         experiment.start()
