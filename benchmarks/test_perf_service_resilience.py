@@ -20,7 +20,7 @@ How the overhead is isolated: both configurations execute the *bit-for-
 bit identical* physics path (same engine calls, same slice count), so a
 raw wall-clock diff between two sub-second runs on a shared CI box
 measures scheduler luck, not supervision. Instead every run times its
-own ``harness.advance`` calls through an identical shim and charges the
+own ``advance`` calls through an identical subclass and charges the
 configuration with everything *outside* them -- command dispatch, WAL
 appends, snapshot offers, heartbeat stamping, event publishes. The
 resilience cost is the supervised machinery share minus the baseline
@@ -52,7 +52,6 @@ from pathlib import Path
 
 from repro.durability.atomic import atomic_write_text
 from repro.service.driver import RealTimeDriver
-from repro.service.harness import harness_for
 from repro.service.supervisor import DriverSupervisor, SupervisorConfig
 from repro.service.wal import apply_act
 from repro.sim.experiment import ControlledExperiment, ExperimentConfig
@@ -70,8 +69,27 @@ ARTIFACT = (
 ACT_TIMES = (1800.0, 3600.0, 5400.0)  # freeze / unfreeze / freeze
 
 
-def _experiment() -> ControlledExperiment:
-    return ControlledExperiment(
+class _TimedExperiment(ControlledExperiment):
+    """Accumulates the wall time spent inside ``advance`` (pure simulation).
+
+    Both configurations run this same class, so the timing's (tiny)
+    per-call cost cancels out of the machinery delta. It is a subclass,
+    not a shim stored on the instance, because the supervised run
+    snapshots the run itself and a closure would not pickle.
+    """
+
+    advance_seconds = 0.0
+    advance_calls = 0
+
+    def advance(self, until=None):
+        started = time.perf_counter()
+        super().advance(until)
+        self.advance_seconds += time.perf_counter() - started
+        self.advance_calls += 1
+
+
+def _experiment() -> _TimedExperiment:
+    return _TimedExperiment(
         ExperimentConfig(
             n_servers=N_SERVERS,
             duration_hours=HOURS,
@@ -81,26 +99,6 @@ def _experiment() -> ControlledExperiment:
             telemetry_enabled=False,
         )
     )
-
-
-def _time_advances(harness) -> dict:
-    """Shim ``harness.advance`` to accumulate pure-simulation time.
-
-    Both configurations get the same shim, so its (tiny) per-call cost
-    cancels out of the machinery delta.
-    """
-    acc = {"seconds": 0.0, "calls": 0}
-    inner = harness.advance
-
-    def advance(dt):
-        started = time.perf_counter()
-        result = inner(dt)
-        acc["seconds"] += time.perf_counter() - started
-        acc["calls"] += 1
-        return result
-
-    harness.advance = advance
-    return acc
 
 
 def _drive(driver: RealTimeDriver, log_act=None) -> None:
@@ -121,20 +119,21 @@ def _drive(driver: RealTimeDriver, log_act=None) -> None:
 
 
 def _baseline_once() -> dict:
-    driver = RealTimeDriver(harness_for(_experiment()), mode="manual")
-    advances = _time_advances(driver.harness)
+    experiment = _experiment()
+    driver = RealTimeDriver(experiment, mode="manual")
     driver.start()
     started = time.perf_counter()
     _drive(driver)
     total = time.perf_counter() - started
     driver.shutdown()
-    return {"total": total, "advance": advances["seconds"],
-            "calls": advances["calls"]}
+    return {"total": total, "advance": experiment.advance_seconds,
+            "calls": experiment.advance_calls}
 
 
 def _supervised_once(state_dir: Path) -> dict:
+    experiment = _experiment()
     supervisor = DriverSupervisor(
-        harness_for(_experiment()),
+        experiment,
         mode="manual",
         config=SupervisorConfig(
             state_dir=str(state_dir),
@@ -142,7 +141,6 @@ def _supervised_once(state_dir: Path) -> dict:
             verify_snapshots=False,
         ),
     )
-    advances = _time_advances(supervisor.harness)
     supervisor.start()
     started = time.perf_counter()
     _drive(supervisor.driver, log_act=supervisor.log_act)
@@ -150,8 +148,8 @@ def _supervised_once(state_dir: Path) -> dict:
     assert supervisor.wal.last_seq == len(ACT_TIMES)
     assert supervisor.recoveries == 0  # healthy run, no watchdog trips
     supervisor.stop()
-    return {"total": total, "advance": advances["seconds"],
-            "calls": advances["calls"]}
+    return {"total": total, "advance": experiment.advance_seconds,
+            "calls": experiment.advance_calls}
 
 
 def test_perf_service_resilience_overhead_under_5_percent(tmp_path):

@@ -5,10 +5,13 @@ is happening" -- it runs a :class:`~repro.sim.experiment.ControlledExperiment`
 or :class:`~repro.sim.fleet_experiment.FleetExperiment` as a long-lived
 process and exposes observe/act surfaces over HTTP, stdlib-only.
 
+The service holds the run itself: both experiment kinds subclass
+:class:`~repro.sim.staged.StagedRun`, which carries the lifecycle,
+snapshots and restore-by-kind, and expose the same name-keyed topology
+(groups, controllers, breakers, supervisors, ledger, eventlog).
+
 Layers, bottom up:
 
-- :mod:`repro.service.harness` -- one adapter shape over both staged
-  experiment kinds (groups, controllers, breakers, ledger, eventlog).
 - :mod:`repro.service.driver` -- the single-writer simulation thread
   with its bounded command queue; real, accelerated and manual-step
   pacing; heartbeat and auto-snapshot hooks.
@@ -49,13 +52,6 @@ from repro.service.driver import (
     EventBus,
     RealTimeDriver,
 )
-from repro.service.harness import (
-    ExperimentHarness,
-    FleetHarness,
-    HarnessError,
-    SingleRowHarness,
-    harness_for,
-)
 from repro.service.supervisor import (
     DriverSupervisor,
     SupervisorConfig,
@@ -63,6 +59,7 @@ from repro.service.supervisor import (
     load_resume_state,
 )
 from repro.service.wal import ActWal, apply_act
+from repro.sim.staged import StagedRun
 
 logger = logging.getLogger(__name__)
 
@@ -85,14 +82,15 @@ class ServiceHandle:
         self.httpd = httpd
         self._http_thread: Optional[threading.Thread] = None
 
-    # The driver/harness pair is volatile across recoveries; route every
-    # access through the supervisor so callers never hold a stale one.
+    # The driver and the run it ticks (``harness``) are volatile across
+    # recoveries; route every access through the supervisor so callers
+    # never hold a stale one.
     @property
     def driver(self) -> RealTimeDriver:
         return self.supervisor.driver
 
     @property
-    def harness(self) -> ExperimentHarness:
+    def harness(self) -> StagedRun:
         return self.supervisor.harness
 
     @property
@@ -147,7 +145,7 @@ def build_service(
 ) -> ServiceHandle:
     """Wire a staged experiment into a ready-to-start supervised service.
 
-    ``resume=True`` ignores ``experiment`` and rebuilds the harness from
+    ``resume=True`` ignores ``experiment`` and rebuilds the run from
     the supervisor config's ``state_dir`` (newest verified checkpoint
     plus WAL replay). Supervision is always on; without a ``state_dir``
     the checkpoints and the WAL simply live in memory, which still
@@ -155,32 +153,23 @@ def build_service(
     process).
     """
     config = supervisor_config or SupervisorConfig()
+    wal = checkpoint = None
     if resume:
-        harness, wal, checkpoint, _ = load_resume_state(config)
-        supervisor = DriverSupervisor(
-            harness,
-            mode=mode,
-            speedup=speedup,
-            slice_seconds=slice_seconds,
-            config=config,
-            advance_hook=advance_hook,
-            wal=wal,
-            initial_checkpoint=checkpoint,
+        experiment, wal, checkpoint, _ = load_resume_state(config)
+    elif experiment is None:
+        raise SupervisorError(
+            "build_service needs an experiment (or resume=True)"
         )
-    else:
-        if experiment is None:
-            raise SupervisorError(
-                "build_service needs an experiment (or resume=True)"
-            )
-        harness = harness_for(experiment)
-        supervisor = DriverSupervisor(
-            harness,
-            mode=mode,
-            speedup=speedup,
-            slice_seconds=slice_seconds,
-            config=config,
-            advance_hook=advance_hook,
-        )
+    supervisor = DriverSupervisor(
+        experiment,
+        mode=mode,
+        speedup=speedup,
+        slice_seconds=slice_seconds,
+        config=config,
+        advance_hook=advance_hook,
+        wal=wal,
+        initial_checkpoint=checkpoint,
+    )
     app = ServiceApp(supervisor)
     httpd = make_server(app, host=host, port=port)
     return ServiceHandle(supervisor, app, httpd)
@@ -193,20 +182,15 @@ __all__ = [
     "DriverSupervisor",
     "DriverTimeout",
     "EventBus",
-    "ExperimentHarness",
-    "FleetHarness",
-    "HarnessError",
     "RealTimeDriver",
     "ServiceApp",
     "ServiceError",
     "ServiceHTTPServer",
     "ServiceHandle",
-    "SingleRowHarness",
     "SupervisorConfig",
     "SupervisorError",
     "apply_act",
     "build_service",
-    "harness_for",
     "load_resume_state",
     "make_server",
 ]

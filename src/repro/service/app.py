@@ -68,7 +68,8 @@ class ServiceApp:
         self._view_cache: Dict[str, dict] = {}
         self._metrics_cache: Optional[str] = None
 
-    # The driver and harness are *volatile*: recovery replaces both.
+    # The driver and the run (``harness``) are *volatile*: recovery
+    # replaces both.
     @property
     def driver(self):
         return self.supervisor.driver
@@ -348,7 +349,7 @@ class ServiceApp:
         """Arm a builtin scenario by name, or an inline scenario spec.
 
         Window times in the scenario are interpreted relative to *now*
-        (see :meth:`ExperimentHarness.arm_faults`).
+        (see :meth:`repro.sim.staged.StagedRun.arm_faults`).
         """
         payload: Dict[str, object] = {}
         if scenario is not None:

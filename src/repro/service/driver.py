@@ -56,7 +56,7 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.service.harness import ExperimentHarness
+from repro.sim.staged import StagedRun
 
 logger = logging.getLogger(__name__)
 
@@ -260,7 +260,7 @@ class RealTimeDriver:
 
     def __init__(
         self,
-        harness: ExperimentHarness,
+        harness: StagedRun,
         mode: str = "manual",
         speedup: float = 1.0,
         slice_seconds: float = DEFAULT_SLICE_SECONDS,
@@ -598,7 +598,7 @@ class RealTimeDriver:
             return
         self._last_snapshot_wall = self.clock()
         try:
-            frame = self.harness.snapshot_bytes()
+            frame = self.harness.snapshot()
             self.on_auto_snapshot(frame, now)
         except Exception:
             logger.exception("auto-snapshot failed; run continues unharmed")

@@ -1,6 +1,6 @@
 """Observe-side JSON documents built from live experiment state.
 
-Every function here takes an :class:`~repro.service.harness.ExperimentHarness`
+Every function here takes a staged run (:class:`~repro.sim.staged.StagedRun`)
 and returns plain dicts/lists of JSON-native values. They are called
 *on the simulation thread* (via :meth:`RealTimeDriver.read`), so they
 may walk live object graphs freely -- but they must **copy** everything
@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.service.harness import ExperimentHarness
+from repro.sim.staged import StagedRun
 
 
 def jsonsafe(value):
@@ -61,20 +61,20 @@ def jsonsafe(value):
 # ----------------------------------------------------------------------
 # Documents
 # ----------------------------------------------------------------------
-def config_doc(harness: ExperimentHarness) -> dict:
+def config_doc(harness: StagedRun) -> dict:
     return jsonsafe(
         {
-            "kind": harness.kind,
+            "kind": harness.SNAPSHOT_KIND,
             "config": harness.config,
             "end_seconds": harness.end_seconds,
         }
     )
 
 
-def _group_summary(harness: ExperimentHarness, name: str, group) -> dict:
+def _group_summary(harness: StagedRun, name: str, group) -> dict:
     servers = group.servers
-    breaker = harness.breakers().get(name)
-    supervisor = harness.supervisors().get(name)
+    breaker = harness.breakers.get(name)
+    supervisor = harness.supervisors.get(name)
     doc = {
         "name": name,
         "n_servers": len(servers),
@@ -87,7 +87,7 @@ def _group_summary(harness: ExperimentHarness, name: str, group) -> dict:
         "capped": sum(1 for s in servers if s.is_capped),
         "failed": sum(1 for s in servers if s.failed),
         "powered_off": sum(1 for s in servers if s.powered_off),
-        "controlled": name in harness.controllers(),
+        "controlled": name in harness.controllers,
         "safety_state": supervisor.state.name if supervisor else None,
         "safety_level": int(supervisor.state) if supervisor else None,
         "breaker": (
@@ -107,13 +107,13 @@ def _group_summary(harness: ExperimentHarness, name: str, group) -> dict:
     return doc
 
 
-def state_doc(harness: ExperimentHarness) -> dict:
+def state_doc(harness: StagedRun) -> dict:
     """The facility overview: every group, one summary row each."""
     monitor = harness.monitor
-    groups = harness.groups()
+    groups = harness.groups
     return jsonsafe(
         {
-            "kind": harness.kind,
+            "kind": harness.SNAPSHOT_KIND,
             "sim_now": harness.engine.now,
             "facility_budget_watts": monitor.facility_budget_watts,
             "facility_power_watts": sum(
@@ -129,9 +129,9 @@ def state_doc(harness: ExperimentHarness) -> dict:
     )
 
 
-def group_doc(harness: ExperimentHarness, name: str) -> Optional[dict]:
+def group_doc(harness: StagedRun, name: str) -> Optional[dict]:
     """One group in depth: per-server masks plus controller state."""
-    groups = harness.groups()
+    groups = harness.groups
     if name not in groups:
         return None
     group = groups[name]
@@ -147,7 +147,7 @@ def group_doc(harness: ExperimentHarness, name: str) -> Optional[dict]:
         }
         for s in group.servers
     ]
-    controller = harness.controllers().get(name)
+    controller = harness.controllers.get(name)
     if controller is not None:
         state = controller.state_of(name)
         doc["controller"] = {
@@ -165,10 +165,10 @@ def group_doc(harness: ExperimentHarness, name: str) -> Optional[dict]:
     return jsonsafe(doc)
 
 
-def controllers_doc(harness: ExperimentHarness) -> dict:
+def controllers_doc(harness: StagedRun) -> dict:
     """Controller health counters per controlled group."""
     out = {}
-    for name, controller in harness.controllers().items():
+    for name, controller in harness.controllers.items():
         state = controller.state_of(name)
         out[name] = {
             "crashed": controller.crashed,
@@ -180,7 +180,7 @@ def controllers_doc(harness: ExperimentHarness) -> dict:
     return jsonsafe({"controllers": out})
 
 
-def ledger_doc(harness: ExperimentHarness) -> Optional[dict]:
+def ledger_doc(harness: StagedRun) -> Optional[dict]:
     """The facility budget ledger (fleet runs only)."""
     ledger = harness.ledger
     if ledger is None:
@@ -203,9 +203,9 @@ def ledger_doc(harness: ExperimentHarness) -> Optional[dict]:
     )
 
 
-def tenants_doc(harness: ExperimentHarness) -> Optional[dict]:
+def tenants_doc(harness: StagedRun) -> Optional[dict]:
     """Per-tenant fairness accounting (multi-tenant runs only)."""
-    accountant = harness.tenancy
+    accountant = harness.accountant
     if accountant is None:
         return None
     stats = accountant.stats_snapshot()
@@ -220,7 +220,7 @@ def tenants_doc(harness: ExperimentHarness) -> Optional[dict]:
     )
 
 
-def events_doc(harness: ExperimentHarness, limit: int = 100,
+def events_doc(harness: StagedRun, limit: int = 100,
                kind: Optional[str] = None) -> dict:
     """The tail of the control-plane eventlog, newest last."""
     events = harness.event_log.events
@@ -244,7 +244,7 @@ def events_doc(harness: ExperimentHarness, limit: int = 100,
     )
 
 
-def series_doc(harness: ExperimentHarness,
+def series_doc(harness: StagedRun,
                window_seconds: float = 3600.0) -> dict:
     """Power-vs-budget traces for the dashboard's charts.
 
@@ -255,7 +255,7 @@ def series_doc(harness: ExperimentHarness,
     now = harness.engine.now
     start = max(0.0, now - window_seconds)
     series = {}
-    for name, group in harness.groups().items():
+    for name, group in harness.groups.items():
         try:
             times, watts = monitor.power_series(name, start, now)
         except KeyError:
@@ -280,11 +280,10 @@ def series_doc(harness: ExperimentHarness,
     )
 
 
-def safety_doc(harness: ExperimentHarness) -> dict:
+def safety_doc(harness: StagedRun) -> dict:
     """Safety-ladder and breaker state for every protected group."""
     out = {}
-    breakers = harness.breakers()
-    for name, supervisor in harness.supervisors().items():
+    for name, supervisor in harness.supervisors.items():
         stats = supervisor.stats
         out[name] = {
             "state": supervisor.state.name,
@@ -298,7 +297,7 @@ def safety_doc(harness: ExperimentHarness) -> dict:
             "seconds_in_state": stats.seconds_in_state,
         }
     breaker_docs = {}
-    for name, breaker in breakers.items():
+    for name, breaker in harness.breakers.items():
         breaker_docs[name] = {
             "tripped": breaker.tripped,
             "thermal_fraction": breaker.thermal_fraction,
@@ -309,7 +308,7 @@ def safety_doc(harness: ExperimentHarness) -> dict:
     return jsonsafe({"supervisors": out, "breakers": breaker_docs})
 
 
-def faults_doc(harness: ExperimentHarness) -> dict:
+def faults_doc(harness: StagedRun) -> dict:
     """Build-time and runtime-armed fault injector statistics."""
 
     def injector_doc(injector) -> dict:
@@ -319,7 +318,7 @@ def faults_doc(harness: ExperimentHarness) -> dict:
             "stats": stats,
         }
 
-    build = harness.build_injector
+    build = harness.injector
     return jsonsafe(
         {
             "build": injector_doc(build) if build is not None else None,
@@ -330,7 +329,7 @@ def faults_doc(harness: ExperimentHarness) -> dict:
     )
 
 
-def audit_doc(harness: ExperimentHarness) -> dict:
+def audit_doc(harness: StagedRun) -> dict:
     """Run a full (unsampled) invariant sweep right now and report it.
 
     Also includes the cumulative stats of the experiment's *online*

@@ -32,11 +32,11 @@ import json
 import logging
 import math
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.durability import append_line_fsync
 from repro.faults.scenario import FaultScenario, builtin_scenarios
-from repro.service.harness import ExperimentHarness, HarnessError
+from repro.sim.staged import StagedRun
 
 logger = logging.getLogger(__name__)
 
@@ -207,10 +207,10 @@ class ActWal:
 # ----------------------------------------------------------------------
 # The one apply path (live requests and replay both land here)
 # ----------------------------------------------------------------------
-def apply_act(harness: ExperimentHarness, op: str, payload: dict) -> dict:
-    """Execute one act against the live harness; sim thread only.
+def apply_act(harness: StagedRun, op: str, payload: dict) -> dict:
+    """Execute one act against the live run; sim thread only.
 
-    Deterministic given (harness state, op, payload): replaying the same
+    Deterministic given (run state, op, payload): replaying the same
     records against the same restored state reproduces the same
     mutations, which is what makes the WAL a recovery log rather than an
     audit trail.
@@ -226,13 +226,11 @@ def apply_act(harness: ExperimentHarness, op: str, payload: dict) -> dict:
     raise ActError(400, f"unknown act {op!r}")
 
 
-def _set_group_frozen(
-    harness: ExperimentHarness, payload: dict, frozen: bool
-) -> dict:
+def _set_group_frozen(harness: StagedRun, payload: dict, frozen: bool) -> dict:
     name = payload.get("group")
     if not isinstance(name, str) or not name:
         raise ActError(400, "freeze/unfreeze needs a 'group' name")
-    groups = harness.groups()
+    groups = harness.groups
     if name not in groups:
         raise ActError(404, f"unknown group {name!r}")
     scheduler = harness.scheduler_for(name)
@@ -254,7 +252,7 @@ def _set_group_frozen(
     }
 
 
-def _reallocate(harness: ExperimentHarness, payload: dict) -> dict:
+def _reallocate(harness: StagedRun, payload: dict) -> dict:
     from repro.fleet.ledger import LedgerError
 
     allocations = payload.get("allocations")
@@ -276,13 +274,19 @@ def _reallocate(harness: ExperimentHarness, payload: dict) -> dict:
     unknown = sorted(set(requested) - set(merged))
     if unknown:
         raise ActError(404, f"unknown rows: {unknown}")
+    # The ledger's floors start at 0 W, so it would accept a 0 W row that
+    # the row's controller then refuses -- after the ledger had changed.
+    # Refuse it here, before anything is touched.
+    invalid = sorted(name for name, watts in requested.items() if not (watts > 0))
+    if invalid:
+        raise ActError(422, f"allocations must be positive watts: {invalid}")
     previous = dict(merged)
     merged.update(requested)
     try:
         moved = ledger.apply(merged)
     except LedgerError as exc:
         raise ActError(422, f"ledger rejected: {exc}") from exc
-    controllers = harness.controllers()
+    controllers = harness.controllers
     changed = []
     for row_name, watts in merged.items():
         if watts == previous[row_name]:
@@ -291,7 +295,7 @@ def _reallocate(harness: ExperimentHarness, payload: dict) -> dict:
         if controller is not None:
             controller.update_budget(row_name, watts)
         else:
-            harness.groups()[row_name].power_budget_watts = watts
+            harness.groups[row_name].power_budget_watts = watts
         changed.append(f"{row_name}:{previous[row_name]:.0f}->{watts:.0f}")
     harness.event_log.record(
         "budget",
@@ -306,7 +310,7 @@ def _reallocate(harness: ExperimentHarness, payload: dict) -> dict:
     }
 
 
-def _arm_faults(harness: ExperimentHarness, payload: dict) -> dict:
+def _arm_faults(harness: StagedRun, payload: dict) -> dict:
     scenario = payload.get("scenario")
     spec = payload.get("spec")
     if (scenario is None) == (spec is None):
@@ -326,20 +330,17 @@ def _arm_faults(harness: ExperimentHarness, payload: dict) -> dict:
             built = FaultScenario(**spec)
         except (TypeError, ValueError) as exc:
             raise ActError(400, f"invalid scenario spec: {exc}") from exc
-    try:
-        return harness.arm_faults(built)
-    except HarnessError as exc:
-        raise ActError(409, str(exc)) from exc
+    return harness.arm_faults(built)
 
 
 class WalReplayError(RuntimeError):
     """Replay diverged: a logged act failed against the restored state."""
 
 
-def replay(harness: ExperimentHarness, records: List[WalRecord]) -> int:
+def replay(harness: StagedRun, records: List[WalRecord]) -> int:
     """Re-apply ``records`` in order, advancing to each act's sim-time.
 
-    The harness must be restored to a state at or before the first
+    The run must be restored to a state at or before the first
     record's sim-time (the checkpoint the records were logged after).
     Returns the number of acts re-applied.
     """

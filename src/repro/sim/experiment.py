@@ -21,8 +21,7 @@ Two scaling modes match the paper's two uses of the harness:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -48,6 +47,7 @@ from repro.scheduler.base import InstrumentedScheduler, SchedulerInterface
 from repro.scheduler.policies import PlacementPolicy
 from repro.sim.audit import AuditStats, AuditorConfig, StateAuditor
 from repro.sim.eventlog import ControlEventLog
+from repro.sim.staged import StagedRun
 from repro.sim.testbed import Testbed, WorkloadSpec
 from repro.telemetry import MetricsRegistry, Telemetry
 from repro.tenancy import (
@@ -200,7 +200,7 @@ class ExperimentResult:
         )
 
 
-class ControlledExperiment:
+class ControlledExperiment(StagedRun):
     """Build, run and summarize one controlled experiment."""
 
     def __init__(
@@ -371,24 +371,10 @@ class ControlledExperiment:
         self._result: Optional[ExperimentResult] = None
 
     # ------------------------------------------------------------------
-    # Staged execution: start() arms everything, advance() moves simulated
-    # time, finish() collects. run() composes the three; the split exists
-    # so a run can be snapshotted at any advance() boundary and resumed
-    # byte-identically (see repro.durability).
+    # Staged execution (the lifecycle itself lives on StagedRun)
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Arm workload, monitoring, control and safety services.
-
-        Consumes no simulated time; call :meth:`advance` to move the
-        clock. Idempotence is refused -- services must not double-arm.
-        """
-        if self._started:
-            raise RuntimeError("experiment already started")
-        self._started = True
+    def _arm(self, end: float, warmup: float) -> None:
         config = self.config
-        end = config.end_seconds
-        warmup = config.warmup_seconds
-
         profile = self.testbed.build_rate_profile(config.workload, end)
         if self.injector is not None:
             # Demand surges wrap the profile (pure, RNG-free): without
@@ -441,104 +427,64 @@ class ControlledExperiment:
         if self.injector is not None:
             self.injector.arm(end)
 
-    def advance(self, until: Optional[float] = None) -> None:
-        """Run simulated time forward to ``until`` (default: the horizon).
-
-        Consecutive calls compose exactly (events *at* the boundary stay
-        pending), so ``advance(T); advance(end)`` is byte-identical to
-        ``advance(end)`` -- the property snapshots rely on.
-        """
-        if not self._started:
-            self.start()
-        end = self.config.end_seconds
-        target = end if until is None else min(float(until), end)
-        self.testbed.engine.run(until=target)
-
-    def finish(self) -> ExperimentResult:
-        """Run any remaining simulated time and collect the outcomes.
-
-        Idempotent: repeated calls return the same cached result without
-        re-collecting (no double-emitted report rows), so a graceful
-        shutdown can always call ``finish()`` regardless of whether the
-        run already completed. Works from any :meth:`advance` point.
-        """
-        if self._ran:
-            return self._result
-        self.advance()
-        self._ran = True
-        self._result = self._collect(
-            self.config.warmup_seconds, self.config.end_seconds
-        )
-        return self._result
-
-    def run(self) -> ExperimentResult:
-        """Execute the experiment and return measured outcomes."""
-        if self._ran or self._started:
-            raise RuntimeError("experiment already ran; build a new instance")
-        self.start()
-        return self.finish()
-
-    # ------------------------------------------------------------------
-    # Durable snapshots (see repro.durability for the frame format)
-    # ------------------------------------------------------------------
     #: frame kind tag; restore() refuses frames of any other kind
     SNAPSHOT_KIND = "experiment"
 
     def _snapshot_meta(self) -> dict:
-        # Deterministic descriptors only -- no wall-clock -- so the same
-        # state always frames to the same bytes.
+        return {**super()._snapshot_meta(), "n_servers": self.config.n_servers}
+
+    def result_to_dict(self, result: ExperimentResult) -> dict:
+        """Serialize a finished result the way the batch CLI would."""
+        from repro.analysis.serialize import result_to_dict
+
+        return result_to_dict(result, include_series=False)
+
+    # ------------------------------------------------------------------
+    # Topology the live service reads: the A/B split, name-keyed
+    # ------------------------------------------------------------------
+    @property
+    def engine(self):
+        return self.testbed.engine
+
+    @property
+    def monitor(self):
+        return self.testbed.monitor
+
+    @property
+    def groups(self) -> Dict[str, ServerGroup]:
         return {
-            "sim_now": self.testbed.engine.now,
-            "n_servers": self.config.n_servers,
-            "seed": self.config.seed,
-            "started": self._started,
+            self.experiment_group.name: self.experiment_group,
+            self.control_group.name: self.control_group,
         }
 
-    def snapshot(self) -> bytes:
-        """Serialize the complete live run into a versioned frame.
+    def _on_experiment_group(self, component) -> dict:
+        if component is None:
+            return {}
+        return {self.experiment_group.name: component}
 
-        Captures everything: cluster-state columns, RNG streams, the
-        event heap, controller/supervisor state and telemetry. Restoring
-        and running to the horizon is byte-identical to never having
-        stopped (proven in tests/test_durability.py, also under
-        chaos). Must be called between :meth:`advance` calls, not
-        from inside an event callback.
-        """
-        if self.testbed.engine._running:
-            raise RuntimeError(
-                "cannot snapshot while the engine is running; snapshot "
-                "between advance() calls"
-            )
-        from repro.durability import encode_snapshot
+    @property
+    def controllers(self) -> Dict[str, AmpereController]:
+        return self._on_experiment_group(self.controller)
 
-        return encode_snapshot(self, self.SNAPSHOT_KIND, self._snapshot_meta())
+    @property
+    def breakers(self) -> Dict[str, RowBreaker]:
+        return self._on_experiment_group(self.breaker)
 
-    def save_snapshot(self, path: Union[str, Path]) -> int:
-        """Atomically write :meth:`snapshot` to ``path``; returns bytes."""
-        from repro.durability import atomic_write_bytes
+    @property
+    def supervisors(self) -> Dict[str, SafetySupervisor]:
+        return self._on_experiment_group(self.safety)
 
-        frame = self.snapshot()
-        atomic_write_bytes(path, frame)
-        return len(frame)
+    def scheduler_for(self, group_name: str):
+        """Both groups share the testbed's one scheduler."""
+        if group_name not in self.groups:
+            raise KeyError(f"unknown group {group_name!r}")
+        return self.testbed.scheduler
 
-    @classmethod
-    def restore(cls, source: Union[bytes, str, Path]) -> "ControlledExperiment":
-        """Rebuild a live experiment from a snapshot (bytes or a path).
-
-        The result continues exactly where the original stood: call
-        :meth:`advance`/:meth:`finish` to complete the run.
-        """
-        from repro.durability import SnapshotError, decode_snapshot, read_snapshot
-
-        if isinstance(source, (bytes, bytearray)):
-            obj, _ = decode_snapshot(bytes(source), expected_kind=cls.SNAPSHOT_KIND)
-        else:
-            obj, _ = read_snapshot(source, expected_kind=cls.SNAPSHOT_KIND)
-        if not isinstance(obj, cls):
-            raise SnapshotError(
-                f"snapshot payload is {type(obj).__name__}, not {cls.__name__}"
-            )
-        return obj
+    def _attach_runtime_injector(self, injector: FaultInjector) -> None:
+        injector.attach_monitor(self.testbed.monitor)
+        if self.controller is not None:
+            injector.attach_controller(self.controller)
+        injector.attach_cluster(self.testbed.scheduler)
 
     # ------------------------------------------------------------------
     def build_auditor(self, config: Optional[AuditorConfig] = None) -> StateAuditor:

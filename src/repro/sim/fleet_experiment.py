@@ -31,8 +31,7 @@ to exactly one controller/scheduler).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +61,7 @@ from repro.scheduler.omega import OmegaScheduler
 from repro.sim.audit import AuditStats, AuditorConfig, StateAuditor
 from repro.sim.engine import Engine
 from repro.sim.eventlog import ControlEventLog
+from repro.sim.staged import StagedRun
 from repro.sim.testbed import (
     ThroughputTracker,
     WorkloadSpec,
@@ -214,7 +214,7 @@ class FleetResult:
         return self
 
 
-class FleetExperiment:
+class FleetExperiment(StagedRun):
     """Build, run and summarize one multi-row fleet experiment."""
 
     def __init__(self, config: FleetExperimentConfig = FleetExperimentConfig()):
@@ -402,17 +402,10 @@ class FleetExperiment:
         self._result: Optional[FleetResult] = None
 
     # ------------------------------------------------------------------
-    # Staged execution (mirrors ControlledExperiment: start/advance/finish
-    # compose into run(), and any advance() boundary is snapshotable).
+    # Staged execution (the lifecycle itself lives on StagedRun)
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Arm workload, monitoring, control and safety services."""
-        if self._started:
-            raise RuntimeError("experiment already started")
-        self._started = True
+    def _arm(self, end: float, warmup: float) -> None:
         config = self.config
-        end = config.end_seconds
-        warmup = config.warmup_seconds
         interval = config.ampere.control_interval
 
         for index, (row, spec) in enumerate(zip(self.rows, config.rows)):
@@ -461,82 +454,36 @@ class FleetExperiment:
         if self.injector is not None:
             self.injector.arm(end)
 
-    def advance(self, until: Optional[float] = None) -> None:
-        """Run simulated time forward to ``until`` (default: the horizon)."""
-        if not self._started:
-            self.start()
-        end = self.config.end_seconds
-        target = end if until is None else min(float(until), end)
-        self.engine.run(until=target)
-
-    def finish(self) -> FleetResult:
-        """Run any remaining simulated time and collect the outcomes.
-
-        Idempotent like :meth:`ControlledExperiment.finish`: repeated
-        calls return the cached result without re-collecting.
-        """
-        if self._ran:
-            return self._result
-        self.advance()
-        self._ran = True
-        self._result = self._collect(
-            self.config.warmup_seconds, self.config.end_seconds
-        )
-        return self._result
-
-    def run(self) -> FleetResult:
-        """Execute the fleet experiment and return measured outcomes."""
-        if self._ran or self._started:
-            raise RuntimeError("experiment already ran; build a new instance")
-        self.start()
-        return self.finish()
-
-    # ------------------------------------------------------------------
-    # Durable snapshots (see repro.durability for the frame format)
-    # ------------------------------------------------------------------
     SNAPSHOT_KIND = "fleet"
 
     def _snapshot_meta(self) -> dict:
-        return {
-            "sim_now": self.engine.now,
-            "n_rows": len(self.rows),
-            "seed": self.config.seed,
-            "started": self._started,
-        }
+        return {**super()._snapshot_meta(), "n_rows": len(self.rows)}
 
-    def snapshot(self) -> bytes:
-        """Serialize the complete live fleet run into a versioned frame."""
-        if self.engine._running:
-            raise RuntimeError(
-                "cannot snapshot while the engine is running; snapshot "
-                "between advance() calls"
-            )
-        from repro.durability import encode_snapshot
+    def result_to_dict(self, result: FleetResult) -> dict:
+        """Serialize a finished result the way the batch CLI would."""
+        from repro.analysis.serialize import fleet_result_to_dict
 
-        return encode_snapshot(self, self.SNAPSHOT_KIND, self._snapshot_meta())
+        return fleet_result_to_dict(result)
 
-    def save_snapshot(self, path: Union[str, Path]) -> int:
-        """Atomically write :meth:`snapshot` to ``path``; returns bytes."""
-        from repro.durability import atomic_write_bytes
+    # ------------------------------------------------------------------
+    # Topology the live service reads (rows by name; engine, monitor,
+    # event_log, ledger and the component dicts are plain attributes)
+    # ------------------------------------------------------------------
+    @property
+    def groups(self) -> Dict[str, Row]:
+        return {row.name: row for row in self.rows}
 
-        frame = self.snapshot()
-        atomic_write_bytes(path, frame)
-        return len(frame)
+    def scheduler_for(self, group_name: str) -> OmegaScheduler:
+        """The row's own cluster scheduler."""
+        for row, scheduler in zip(self.rows, self.schedulers):
+            if row.name == group_name:
+                return scheduler
+        raise KeyError(f"unknown group {group_name!r}")
 
-    @classmethod
-    def restore(cls, source: Union[bytes, str, Path]) -> "FleetExperiment":
-        """Rebuild a live fleet experiment from a snapshot."""
-        from repro.durability import SnapshotError, decode_snapshot, read_snapshot
-
-        if isinstance(source, (bytes, bytearray)):
-            obj, _ = decode_snapshot(bytes(source), expected_kind=cls.SNAPSHOT_KIND)
-        else:
-            obj, _ = read_snapshot(source, expected_kind=cls.SNAPSHOT_KIND)
-        if not isinstance(obj, cls):
-            raise SnapshotError(
-                f"snapshot payload is {type(obj).__name__}, not {cls.__name__}"
-            )
-        return obj
+    def _attach_runtime_injector(self, injector: FaultInjector) -> None:
+        injector.attach_monitor(self.monitor)
+        if self.coordinator is not None:
+            injector.attach_coordinator(self.coordinator)
 
     # ------------------------------------------------------------------
     def build_auditor(self, config: Optional[AuditorConfig] = None) -> StateAuditor:

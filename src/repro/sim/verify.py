@@ -64,8 +64,7 @@ def verify_snapshot_file(
     message, invariant violations with ``exit_code == EXIT_VIOLATIONS``.
     """
     from repro.durability import SnapshotError, read_header
-    from repro.sim.experiment import ControlledExperiment
-    from repro.sim.fleet_experiment import FleetExperiment
+    from repro.sim.staged import StagedRun
 
     path = str(path)
     try:
@@ -78,17 +77,7 @@ def verify_snapshot_file(
         )
     kind = header.get("kind")
     try:
-        if kind == "experiment":
-            experiment = ControlledExperiment.restore(path)
-        elif kind == "fleet":
-            experiment = FleetExperiment.restore(path)
-        else:
-            return VerifyReport(
-                path=path,
-                exit_code=EXIT_UNREADABLE,
-                kind=kind,
-                error=f"unknown snapshot kind {kind!r}",
-            )
+        experiment = StagedRun.restore(path)
     except SnapshotError as exc:
         return VerifyReport(
             path=path,

@@ -39,6 +39,7 @@ from repro.sim.fleet_experiment import (
     FleetExperimentConfig,
     FleetRowSpec,
 )
+from repro.sim.staged import StagedRun
 from repro.sim.testbed import WorkloadSpec
 
 #: labels the removed engine switch could leave in pickled state
@@ -309,13 +310,36 @@ def test_snapshot_header_describes_the_run(tmp_path):
     assert header["meta"]["seed"] == 7
 
 
-def test_restore_rejects_wrong_kind(tmp_path):
-    experiment = FleetExperiment(tiny_fleet_config())
+def single_row_run():
+    return ControlledExperiment(tiny_config())
+
+
+def fleet_run():
+    return FleetExperiment(tiny_fleet_config())
+
+
+#: both staged-run kinds, for contract tests that must hold for each
+STAGED_RUNS = [
+    pytest.param(single_row_run, id="single-row"),
+    pytest.param(fleet_run, id="fleet"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, other_kind",
+    [
+        pytest.param(single_row_run, FleetExperiment, id="single-row"),
+        pytest.param(fleet_run, ControlledExperiment, id="fleet"),
+    ],
+)
+def test_restore_rejects_wrong_kind(build, other_kind, tmp_path):
+    experiment = build()
     experiment.start()
-    path = tmp_path / "fleet.snap"
+    path = tmp_path / "run.snap"
     experiment.save_snapshot(path)
     with pytest.raises(SnapshotError, match="kind"):
-        ControlledExperiment.restore(path)
+        other_kind.restore(path)
+    assert type(StagedRun.restore(path)) is type(experiment)
 
 
 def test_restore_rejects_arbitrary_payload():
@@ -331,8 +355,9 @@ def test_read_snapshot_round_trips_generic_payload(tmp_path):
     assert obj == [1, 2, 3]
 
 
-def test_finished_experiment_refuses_second_run():
-    experiment = ControlledExperiment(tiny_config())
+@pytest.mark.parametrize("build", STAGED_RUNS)
+def test_finished_experiment_refuses_second_run(build):
+    experiment = build()
     result = experiment.run()
     with pytest.raises(RuntimeError):
         experiment.run()

@@ -339,17 +339,32 @@ class TestFleetService:
         _, _, group = get(fleet_service.url, "/api/groups/row-0")
         assert group["budget_watts"] == pytest.approx(request["row-0"])
 
-    def test_invalid_reallocation_rejected_wholesale(self, fleet_service):
+    @pytest.mark.parametrize(
+        "rating_factor, reason",
+        [
+            pytest.param(10.0, "ledger", id="over-rating"),
+            # 0 W clears the ledger's 0 W floor but no controller takes it
+            pytest.param(0.0, "positive", id="zero"),
+        ],
+    )
+    def test_invalid_reallocation_rejected_wholesale(
+        self, fleet_service, rating_factor, reason
+    ):
         _, _, before = get(fleet_service.url, "/api/ledger")
+        _, _, group_before = get(fleet_service.url, "/api/groups/row-0")
+        wal_before = fleet_service.supervisor.wal.last_seq
         rating = before["rows"][0]["rating_watts"]
         status, message = post_error(
             fleet_service.url,
             "/api/budgets",
-            {"allocations": {"row-0": rating * 10.0}},
+            {"allocations": {"row-0": rating * rating_factor}},
         )
-        assert status == 422 and "ledger" in message
+        assert status == 422 and reason in message
         _, _, after = get(fleet_service.url, "/api/ledger")
         assert after["rows"] == before["rows"]  # nothing changed
+        _, _, group_after = get(fleet_service.url, "/api/groups/row-0")
+        assert group_after["budget_watts"] == group_before["budget_watts"]
+        assert fleet_service.supervisor.wal.last_seq == wal_before
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_reallocation_rejected_before_the_act(
@@ -478,3 +493,43 @@ class TestByteIdentity:
 
         report = verify_snapshot_file(str(path))
         assert report.ok and report.kind == "experiment"
+
+
+# ---------------------------------------------------------------------------
+# verify_snapshot_file: one restore-by-kind path for every frame
+# ---------------------------------------------------------------------------
+
+
+def test_verify_snapshot_file_restores_a_fleet_frame(tmp_path):
+    from repro.sim.verify import EXIT_OK, verify_snapshot_file
+
+    experiment = FleetExperiment(small_fleet_config())
+    experiment.start()
+    experiment.advance(900.0)
+    path = tmp_path / "fleet.snap"
+    experiment.save_snapshot(path)
+    report = verify_snapshot_file(str(path))
+    assert report.kind == "fleet" and report.exit_code == EXIT_OK
+    assert report.meta["n_rows"] == 2
+
+
+def test_unknown_snapshot_kind_refused_before_unpickling(tmp_path, monkeypatch):
+    import repro.durability.snapshot as snapshot_module
+    from repro.durability import SnapshotError, encode_snapshot
+    from repro.sim.staged import StagedRun
+    from repro.sim.verify import EXIT_UNREADABLE, verify_snapshot_file
+
+    frame = encode_snapshot({"not": "a run"}, "mystery", {})
+    path = tmp_path / "mystery.snap"
+    path.write_bytes(frame)
+
+    class NeverUnpickle:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("payload of an unknown kind was unpickled")
+
+    monkeypatch.setattr(snapshot_module, "_Unpickler", NeverUnpickle)
+    with pytest.raises(SnapshotError, match="unknown snapshot kind 'mystery'"):
+        StagedRun.restore(frame)
+    report = verify_snapshot_file(str(path))
+    assert report.exit_code == EXIT_UNREADABLE and report.kind == "mystery"
+    assert "unknown snapshot kind" in report.error

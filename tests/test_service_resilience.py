@@ -31,10 +31,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.serialize import result_to_dict
-from repro.service import SupervisorConfig, build_service
+from repro.service import SupervisorConfig, build_service, views
 from repro.service.driver import DriverBusy, EventBus
-from repro.service.harness import harness_for
-from repro.service.supervisor import restore_experiment
 from repro.service.wal import (
     ActWal,
     WalError,
@@ -45,6 +43,7 @@ from repro.service.wal import (
 )
 from repro.sim.audit import AuditorConfig
 from repro.sim.experiment import ControlledExperiment, ExperimentConfig
+from repro.sim.staged import StagedRun
 from repro.sim.testbed import WorkloadSpec
 from repro.telemetry import MetricsRegistry
 
@@ -118,8 +117,7 @@ class OneShotCrash:
 
 
 def full_audit_violations(frame: bytes):
-    experiment = restore_experiment(frame)
-    auditor = experiment.build_auditor(
+    auditor = StagedRun.restore(frame).build_auditor(
         AuditorConfig(sample_fraction=1.0, on_violation="record")
     )
     return auditor.audit(sample=False)
@@ -220,41 +218,56 @@ class TestActWal:
     def test_replay_advances_and_applies(self):
         experiment = ControlledExperiment(small_config())
         experiment.start()
-        harness = harness_for(experiment)
         records = [
             WalRecord(1, 600.0, "freeze", {"group": "experiment"}),
             WalRecord(2, 1200.0, "unfreeze", {"group": "experiment"}),
         ]
-        assert replay(harness, records) == 2
-        assert harness.engine.now == pytest.approx(1200.0)
+        assert replay(experiment, records) == 2
+        assert experiment.engine.now == pytest.approx(1200.0)
 
     def test_replay_refuses_records_behind_restored_state(self):
         experiment = ControlledExperiment(small_config())
         experiment.start()
         experiment.advance(900.0)
-        harness = harness_for(experiment)
         with pytest.raises(WalReplayError, match="behind the restored state"):
             replay(
-                harness,
+                experiment,
                 [WalRecord(1, 600.0, "freeze", {"group": "experiment"})],
             )
 
     def test_replayed_acts_match_live_acts_byte_for_byte(self):
         live = ControlledExperiment(small_config())
         live.start()
-        live_harness = harness_for(live)
-        live_harness.advance(600.0)
-        apply_act(live_harness, "freeze", {"group": "experiment"})
-        live_harness.advance(1500.0)
+        live.advance(600.0)
+        apply_act(live, "freeze", {"group": "experiment"})
+        live.advance(1500.0)
 
         replayed = ControlledExperiment(small_config())
         replayed.start()
-        harness = harness_for(replayed)
         replay(
-            harness, [WalRecord(1, 600.0, "freeze", {"group": "experiment"})]
+            replayed, [WalRecord(1, 600.0, "freeze", {"group": "experiment"})]
         )
-        harness.advance(1500.0)
+        replayed.advance(1500.0)
         assert replayed.snapshot() == live.snapshot()
+
+
+def test_runtime_armed_faults_survive_snapshot_restore():
+    """An operator-armed injector is part of the run, so a checkpoint
+    taken after ``arm-faults`` restores it: /api/faults keeps listing the
+    live fault, and its pending blackout still fires."""
+    experiment = ControlledExperiment(small_config())
+    experiment.start()
+    experiment.advance(600.0)
+    # Armed at t=600, the window is reinterpreted as t=900..1200.
+    spec = {"name": "blackout", "blackouts": [[300.0, 300.0]]}
+    apply_act(experiment, "arm-faults", {"spec": spec})
+    assert len(views.faults_doc(experiment)["runtime"]) == 1
+
+    restored = StagedRun.restore(experiment.snapshot())
+    restored.advance(1500.0)
+    runtime = views.faults_doc(restored)["runtime"]
+    assert [doc["scenario"] for doc in runtime] == ["blackout"]
+    assert runtime[0]["stats"]["blackouts_injected"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +320,7 @@ class TestCrashRecovery:
             status, _, _ = post(url, "/api/step", {"until": self.HORIZON})
             assert status == 200
             frame = service.driver.read(
-                lambda: service.harness.snapshot_bytes()
+                lambda: service.harness.snapshot()
             )
         finally:
             service.stop()
@@ -315,9 +328,8 @@ class TestCrashRecovery:
         # Uninterrupted reference: same trajectory, no service, no crash.
         reference = ControlledExperiment(small_config())
         reference.start()
-        harness = harness_for(reference)
-        apply_act(harness, "freeze", {"group": "experiment"})
-        harness.advance(self.HORIZON)
+        apply_act(reference, "freeze", {"group": "experiment"})
+        reference.advance(self.HORIZON)
         assert frame == reference.snapshot()
         assert full_audit_violations(frame) == []
 
@@ -345,17 +357,16 @@ class TestCrashRecovery:
             status, _, _ = post(url, "/api/step", {"until": self.HORIZON})
             assert status == 200
             frame = service.driver.read(
-                lambda: service.harness.snapshot_bytes()
+                lambda: service.harness.snapshot()
             )
         finally:
             service.stop()
 
         reference = ControlledExperiment(small_config())
         reference.start()
-        harness = harness_for(reference)
-        harness.advance(600.0)
-        apply_act(harness, "freeze", {"group": "experiment"})
-        harness.advance(self.HORIZON)
+        reference.advance(600.0)
+        apply_act(reference, "freeze", {"group": "experiment"})
+        reference.advance(self.HORIZON)
         assert frame == reference.snapshot()
 
     def test_recovery_budget_exhaustion_parks_in_failed(self):
@@ -836,17 +847,16 @@ class TestStateDirAndResume:
             assert resumed.harness.engine.now == pytest.approx(600.0)
             post(resumed.url, "/api/step", {"until": 1500.0})
             frame = resumed.driver.read(
-                lambda: resumed.harness.snapshot_bytes()
+                lambda: resumed.harness.snapshot()
             )
         finally:
             resumed.stop()
 
         reference = ControlledExperiment(small_config())
         reference.start()
-        harness = harness_for(reference)
-        harness.advance(600.0)
-        apply_act(harness, "freeze", {"group": "experiment"})
-        harness.advance(1500.0)
+        reference.advance(600.0)
+        apply_act(reference, "freeze", {"group": "experiment"})
+        reference.advance(1500.0)
         assert frame == reference.snapshot()
 
     def test_resume_with_empty_state_dir_fails_loudly(self, tmp_path):
