@@ -155,8 +155,9 @@ def test_perf_telemetry_overhead_under_five_percent():
     is the subsystem's documented budget.
     """
     _timed_run(False)  # warm imports and allocator
-    best_off = min(_timed_run(False) for _ in range(4))
-    best_on = min(_timed_run(True) for _ in range(4))
+    rounds = [(_timed_run(False), _timed_run(True)) for _ in range(4)]
+    best_off = min(off for off, _ in rounds)
+    best_on = min(on for _, on in rounds)
     assert best_on < best_off * 1.05, (
         f"telemetry overhead {best_on / best_off - 1.0:+.1%} "
         f"(enabled {best_on:.4f}s vs disabled {best_off:.4f}s)"

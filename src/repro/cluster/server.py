@@ -17,7 +17,9 @@ gets a private single-slot store: fine on its own, but it cannot join a
 group with servers of another store. The setters of the five placement
 columns (``used_cores``, ``used_memory_gb``, ``frozen``, ``failed``,
 ``powered_off``) also mark the slot dirty for the placement indices that
-cover it (:meth:`ClusterState.touch`).
+cover it (:meth:`ClusterState.touch`). :meth:`Server.add_task` and
+:meth:`Server.remove_task` keep the job dict here and make one store call
+(:meth:`ClusterState.place_task` / :meth:`~ClusterState.release_task`).
 """
 
 from __future__ import annotations
@@ -197,32 +199,20 @@ class Server:
         """Attach a placed job's resource demand to this server."""
         if job.job_id in self.tasks:
             raise ValueError(f"job {job.job_id} already running on server {self.server_id}")
-        if not self.can_fit(job.cores, job.memory_gb):
+        if not self._state.place_task(self._index, job.cores, job.memory_gb):
             raise ValueError(
                 f"job {job.job_id} does not fit on server {self.server_id}: "
                 f"needs {job.cores}c/{job.memory_gb}g, "
                 f"free {self.free_cores:.1f}c/{self.free_memory_gb:.1f}g"
             )
         self.tasks[job.job_id] = job
-        self.used_cores += job.cores
-        self.used_memory_gb += job.memory_gb
-        self.jobs_started += 1
-        self._invalidate_power()
 
     def remove_task(self, job: "Job") -> None:
         """Release a finished (or killed) job's resources."""
         if job.job_id not in self.tasks:
             raise KeyError(f"job {job.job_id} not running on server {self.server_id}")
         del self.tasks[job.job_id]
-        self.used_cores -= job.cores
-        self.used_memory_gb -= job.memory_gb
-        # Guard against float drift accumulating into tiny negatives.
-        if self.used_cores < 1e-9:
-            self.used_cores = 0.0
-        if self.used_memory_gb < 1e-9:
-            self.used_memory_gb = 0.0
-        self.jobs_completed += 1
-        self._invalidate_power()
+        self._state.release_task(self._index, job.cores, job.memory_gb)
 
     # ------------------------------------------------------------------
     # Power

@@ -43,8 +43,10 @@ A scheduler's placement index (``repro.scheduler.index``) keeps, per
 demand shape, which of its slots are eligible. It learns of changes
 through one hook: every write to a placement column (``used_cores``,
 ``used_memory_gb``, ``frozen``, ``failed``, ``powered_off``) through a
-``Server`` setter or a mask method here calls :meth:`ClusterState.touch`,
-which adds the slot to the dirty set of each index covering it. The
+``Server`` setter, :meth:`ClusterState.place_task` /
+:meth:`~ClusterState.release_task` (the per-job path: one call per
+placement and per completion) or a mask method here adds the slot to the
+dirty set of each index covering it (:meth:`ClusterState.touch`). The
 watcher lists are per slot, so a write reaches only the schedulers that
 own the slot; they are runtime wiring and are never pickled.
 """
@@ -312,6 +314,39 @@ class ClusterState:
         if self._watchers:
             for dirty in self._watchers[slot]:
                 dirty.add(slot)
+
+    def place_task(self, slot: int, cores: float, memory_gb: float) -> bool:
+        """Claim a task's demand on one slot; False (nothing written) if
+        it does not fit.
+
+        The fit test is ``Server.can_fit``'s. On success both ``used_*``
+        columns, ``jobs_started`` and ``power_valid`` are written and the
+        slot is marked dirty once.
+        """
+        used_cores = self.used_cores.item(slot) + cores
+        used_memory = self.used_memory_gb.item(slot) + memory_gb
+        if not (
+            used_cores <= self.cores.item(slot) + 1e-9
+            and used_memory <= self.memory_gb.item(slot) + 1e-9
+        ):
+            return False
+        self.used_cores[slot] = used_cores
+        self.used_memory_gb[slot] = used_memory
+        self.jobs_started[slot] += 1
+        self.power_valid[slot] = False
+        self.touch(slot)
+        return True
+
+    def release_task(self, slot: int, cores: float, memory_gb: float) -> None:
+        """Return a finished (or killed) task's demand to one slot."""
+        used_cores = self.used_cores.item(slot) - cores
+        used_memory = self.used_memory_gb.item(slot) - memory_gb
+        # Guard against float drift accumulating into tiny negatives.
+        self.used_cores[slot] = 0.0 if used_cores < 1e-9 else used_cores
+        self.used_memory_gb[slot] = 0.0 if used_memory < 1e-9 else used_memory
+        self.jobs_completed[slot] += 1
+        self.power_valid[slot] = False
+        self.touch(slot)
 
     def _touch_many(self, indices) -> None:
         if self._watchers:

@@ -213,21 +213,26 @@ class Engine:
             raise RuntimeError("engine is already running (re-entrant run())")
         self._running = True
         started = self._events_processed
+        heap, pop = self._heap, heapq.heappop
+        cancelled = 0
+        # Cancelled entries popped since the last callback ran: the queue
+        # depth gauge reports the depth that callback left behind.
+        skipped = 0
         try:
             with self.telemetry.span("engine.run") as span:
-                while self._heap:
-                    time, _priority, _seq, handle, callback, args = self._heap[0]
+                while heap:
+                    time, _priority, _seq, handle, callback, args = heap[0]
                     if until is not None and time >= until:
                         break
-                    heapq.heappop(self._heap)
+                    pop(heap)
                     if handle.cancelled:
-                        self._cancelled_counter.inc()
+                        cancelled += 1
+                        skipped += 1
                         continue
+                    skipped = 0
                     self._now = time
                     callback(*args)
                     self._events_processed += 1
-                    self._events_counter.inc()
-                    self._queue_depth_gauge.set(len(self._heap))
                 if until is not None and until > self._now:
                     self._now = until
                 span.set_attribute(
@@ -235,6 +240,13 @@ class Engine:
                 )
         finally:
             self._running = False
+            # The instruments are updated once per run, not per event.
+            processed = self._events_processed - started
+            if processed:
+                self._events_counter.inc(processed)
+                self._queue_depth_gauge.set(len(heap) + skipped)
+            if cancelled:
+                self._cancelled_counter.inc(cancelled)
 
     def peek_next_time(self) -> Optional[float]:
         """Return the timestamp of the next live event, or ``None``."""

@@ -20,6 +20,7 @@ Two scaling modes match the paper's two uses of the harness:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
@@ -98,13 +99,19 @@ class ExperimentConfig:
     tenancy: Optional[TenancyConfig] = None
 
     def __post_init__(self) -> None:
-        if self.duration_hours <= 0:
-            raise ValueError(f"duration_hours must be positive, got {self.duration_hours}")
-        if self.warmup_hours < 0:
-            raise ValueError(f"warmup_hours must be non-negative, got {self.warmup_hours}")
-        if self.over_provision_ratio < 0:
+        # Written so that NaN fails each test.
+        if not 0 < self.duration_hours < math.inf:
             raise ValueError(
-                f"over_provision_ratio must be non-negative, got {self.over_provision_ratio}"
+                f"duration_hours must be positive and finite, got {self.duration_hours}"
+            )
+        if not 0 <= self.warmup_hours < math.inf:
+            raise ValueError(
+                f"warmup_hours must be non-negative and finite, got {self.warmup_hours}"
+            )
+        if not 0 <= self.over_provision_ratio < math.inf:
+            raise ValueError(
+                "over_provision_ratio must be non-negative and finite, got "
+                f"{self.over_provision_ratio}"
             )
 
     @property

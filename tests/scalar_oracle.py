@@ -9,6 +9,11 @@ the object API only, so the tests can hold the array path to it bit for
 bit (``tests/test_backend_equivalence.py``) and the vectorized-sweep
 benchmark can time one against the other.
 
+It keeps the per-job store writes as ``Server`` setter calls (four per
+placement and per completion, each marking the slot dirty), which
+``tests/test_placement_index.py`` holds ``ClusterState.place_task`` and
+``release_task`` to.
+
 It also keeps the arrival path's original formulation: the numpy
 samplers (``rng.choice(p=)``, a size-1 lognormal with ``np.clip``), the
 numpy burst-window scan and thinning with one engine event per candidate,
@@ -81,6 +86,35 @@ def placement_candidates(
         and not (s.frozen or s.failed or s.powered_off)
         and (allowed_rows is None or s.row_id in allowed_rows)
     ]
+
+
+def add_task(server: Server, job) -> None:
+    """``Server.add_task`` through the column setters."""
+    if job.job_id in server.tasks:
+        raise ValueError(f"job {job.job_id} already running on server {server.server_id}")
+    if not server.can_fit(job.cores, job.memory_gb):
+        raise ValueError(f"job {job.job_id} does not fit on server {server.server_id}")
+    server.tasks[job.job_id] = job
+    server.used_cores += job.cores
+    server.used_memory_gb += job.memory_gb
+    server.jobs_started += 1
+    server._invalidate_power()
+
+
+def remove_task(server: Server, job) -> None:
+    """``Server.remove_task`` through the column setters."""
+    if job.job_id not in server.tasks:
+        raise KeyError(f"job {job.job_id} not running on server {server.server_id}")
+    del server.tasks[job.job_id]
+    server.used_cores -= job.cores
+    server.used_memory_gb -= job.memory_gb
+    # Guard against float drift accumulating into tiny negatives.
+    if server.used_cores < 1e-9:
+        server.used_cores = 0.0
+    if server.used_memory_gb < 1e-9:
+        server.used_memory_gb = 0.0
+    server.jobs_completed += 1
+    server._invalidate_power()
 
 
 class IpmiSweepOracle:

@@ -4,6 +4,8 @@ These run short (tens of simulated minutes) experiments on a small fleet;
 the benchmarks run the full paper-scale configurations.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,18 @@ class TestHarnessSetup:
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             small_config(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field", ["duration_hours", "warmup_hours", "over_provision_ratio"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_config_refuses_nan_and_infinities(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: value})
+
+    def test_config_boundary_values_stay_legal(self):
+        config = small_config(warmup_hours=0.0, over_provision_ratio=0.0)
+        assert config.warmup_seconds == 0.0
 
 
 class TestRunBehaviour:

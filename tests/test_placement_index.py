@@ -13,6 +13,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.serialize import result_to_dict
 from repro.cluster.datacenter import build_row
@@ -26,6 +28,7 @@ from repro.sim.engine import Engine
 from repro.sim.experiment import ControlledExperiment, ExperimentConfig
 from repro.sim.testbed import WorkloadSpec
 from repro.workload.job import Job
+from tests import scalar_oracle as oracle
 from tests.scalar_oracle import placement_matches
 from tests.test_durability import LEGACY_SNAPSHOT, result_json_without_config, tiny_config
 
@@ -178,6 +181,110 @@ def test_row_filter_caches_are_bounded():
         assert len(scheduler._row_mask_cache) <= _FIT_CACHE_ENTRIES
         assert len(scheduler._row_range_cache) <= _FIT_CACHE_ENTRIES
     assert placement_matches(scheduler)
+
+
+# ---------------------------------------------------------------------------
+# place_task / release_task against the four-setter oracle
+# ---------------------------------------------------------------------------
+
+#: demands that drift (0.1 + 0.2 - 0.1 - 0.2 != 0), that fit exactly, and
+#: that fit nowhere
+TASK_DEMANDS = (0.1, 0.2, 0.3, 1.0, 2.0, 7.3, 16.0, 16.5)
+
+
+def watched_row(n=6):
+    """A row whose slots are watched by two dirty sets: one over every
+    slot, one over the even slots only."""
+    row = build_row(0, racks=1, servers_per_rack=n, cores=16, memory_gb=32.0)
+    every, even = set(), set()
+    row.state.watch(list(range(n)), every)
+    row.state.watch(list(range(0, n, 2)), even)
+    return row, (every, even)
+
+
+def column_bits(state):
+    return {
+        name: getattr(state, name)[: state.n].tobytes()
+        for name in ("used_cores", "used_memory_gb", "jobs_started",
+                     "jobs_completed", "power_valid")
+    }
+
+
+operations = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "remove", "power"]),
+        st.integers(0, 5),
+        st.sampled_from(TASK_DEMANDS),
+        st.sampled_from(TASK_DEMANDS),
+        st.integers(0, 7),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(operations)
+def test_store_task_writes_match_the_setter_oracle(ops):
+    rows = [watched_row(), watched_row()]
+    apply = [
+        (lambda server, job: server.add_task(job), lambda server, job: server.remove_task(job)),
+        (oracle.add_task, oracle.remove_task),
+    ]
+    for job_id, (kind, position, cores, memory_gb, pick) in enumerate(ops):
+        outcomes = []
+        for (row, dirty), (add, remove) in zip(rows, apply):
+            server = row.servers[position]
+            before = (column_bits(row.state), [set(d) for d in dirty])
+            try:
+                if kind == "add":
+                    add(server, Job(job_id, 60.0, cores=cores, memory_gb=memory_gb))
+                elif kind == "remove" and server.tasks:
+                    running = sorted(server.tasks)
+                    remove(server, server.tasks[running[pick % len(running)]])
+                elif kind == "power":
+                    server.power_watts()
+            except ValueError:
+                # A no-fit call writes nothing and marks nothing dirty.
+                assert (column_bits(row.state), [set(d) for d in dirty]) == before
+                outcomes.append("refused")
+            else:
+                outcomes.append("done")
+        assert outcomes[0] == outcomes[1]
+        (fast, fast_dirty), (slow, slow_dirty) = rows
+        assert column_bits(fast.state) == column_bits(slow.state)
+        assert fast_dirty == slow_dirty
+        for dirty in fast_dirty + slow_dirty:
+            dirty.clear()
+        for a, b in zip(fast.servers, slow.servers):
+            assert sorted(a.tasks) == sorted(b.tasks)
+
+
+def test_release_clamps_drift_to_exact_zero():
+    row, (every, even) = watched_row()
+    server = row.servers[2]
+    jobs = [Job(i, 60.0, cores=c, memory_gb=c) for i, c in enumerate((0.1, 0.2))]
+    for job in jobs:
+        server.add_task(job)
+    assert 0.1 + 0.2 - 0.1 - 0.2 != 0.0
+    every.clear(), even.clear()
+    for job in jobs:
+        server.remove_task(job)
+    assert server.used_cores == 0.0 and server.used_memory_gb == 0.0
+    assert every == even == {2}
+    assert server.jobs_started == server.jobs_completed == 2
+
+
+def test_place_task_that_does_not_fit_leaves_the_store_untouched():
+    row, (every, _) = watched_row()
+    state = row.state
+    state.place_task(1, 15.0, 1.0)
+    every.clear()
+    before = column_bits(state)
+    assert state.place_task(1, 1.5, 1.0) is False
+    assert state.place_task(1, 1.0, 31.5) is False
+    assert column_bits(state) == before and every == set()
+    assert state.place_task(1, 1.0, 31.0) is True
+    assert every == {1}
 
 
 # ---------------------------------------------------------------------------

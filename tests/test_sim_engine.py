@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim.engine import Engine
 from repro.sim.events import EventPriority
+from repro.telemetry import Telemetry
 
 
 class TestScheduling:
@@ -174,3 +175,55 @@ class TestBookkeeping:
         assert engine.now == 100.0
         with pytest.raises(ValueError):
             engine.schedule(50.0, EventPriority.GENERIC, lambda: None)
+
+
+class TestRunInstruments:
+    """The events counter, cancelled counter and queue-depth gauge are
+    updated once per ``run()`` call, and read as if updated per event."""
+
+    @staticmethod
+    def instrumented():
+        telemetry = Telemetry.create()
+        return Engine(telemetry=telemetry), telemetry.registry
+
+    def test_counters_and_gauge_after_composed_runs(self):
+        engine, registry = self.instrumented()
+        for i in range(6):
+            engine.schedule(float(i), EventPriority.GENERIC, lambda: None)
+        engine.schedule(10.0, EventPriority.GENERIC, lambda: None)
+        engine.run(until=2.5)
+        assert registry.value("repro_engine_events_total") == engine.events_processed == 3
+        assert registry.value("repro_engine_queue_depth") == engine.pending_count() == 4
+        engine.run(until=20.0)
+        assert registry.value("repro_engine_events_total") == engine.events_processed == 7
+        assert registry.value("repro_engine_queue_depth") == 0
+
+    def test_gauge_is_the_depth_the_last_callback_left(self):
+        # Cancelled entries popped after the last callback do not lower it.
+        engine, registry = self.instrumented()
+        engine.schedule(1.0, EventPriority.GENERIC, lambda: None)
+        engine.schedule(2.0, EventPriority.GENERIC, lambda: None).cancel()
+        engine.schedule(3.0, EventPriority.GENERIC, lambda: None).cancel()
+        engine.schedule(9.0, EventPriority.GENERIC, lambda: None)
+        engine.run(until=5.0)
+        assert engine.pending_count() == 1
+        assert registry.value("repro_engine_queue_depth") == 3
+        assert registry.value("repro_engine_cancelled_events_total") == 2
+
+    def test_events_counter_matches_when_a_callback_raises(self):
+        engine, registry = self.instrumented()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        for i in range(4):
+            engine.schedule(float(i), EventPriority.GENERIC, lambda: None)
+        engine.schedule(4.0, EventPriority.GENERIC, boom)
+        engine.schedule(5.0, EventPriority.GENERIC, lambda: None)
+        with pytest.raises(RuntimeError, match="boom"):
+            engine.run()
+        assert engine.events_processed == 4
+        assert registry.value("repro_engine_events_total") == 4
+        assert registry.value("repro_engine_queue_depth") == engine.pending_count() == 1
+        engine.run()  # the engine is usable again and keeps counting
+        assert registry.value("repro_engine_events_total") == engine.events_processed == 5
