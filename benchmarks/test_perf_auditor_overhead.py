@@ -6,34 +6,30 @@ configuration (five-minute cadence, 25% deterministic sampling) the
 auditor adds **less than 5%** wall-clock to a representative safety-armed
 experiment. Measurements go to ``BENCH_auditor.json`` for CI to publish.
 
-The comparison runs the same seeded configuration with and without the
-auditor; trajectories are identical either way (the auditor consumes no
-RNG and mutates nothing -- see ``tests/test_auditor.py``), so the delta
-is pure audit cost.
+The cost is accounted inside each audited run (:func:`perf_gate.run_shares`):
+the auditor's periodic entry point, ``StateAuditor.tick``, is timed and
+charged against the rest of the same run. The auditor consumes no RNG
+and mutates nothing (see ``tests/test_auditor.py``), so everything it
+adds to a run happens inside that tick.
 """
 
-import json
-import time
-from pathlib import Path
+import statistics
 
+from benchmarks import perf_gate
 from repro.core.safety import SafetyConfig
-from repro.durability.atomic import atomic_write_text
 from repro.sim.audit import AuditorConfig
 from repro.sim.experiment import ControlledExperiment, ExperimentConfig
 from repro.sim.testbed import WorkloadSpec
 
 N_SERVERS = 200
 HOURS = 4.0
-REPEATS = 3
+RUNS = 5
 MAX_OVERHEAD = 0.05
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_auditor.json"
 
 
-def _run_seconds(auditor: AuditorConfig | None) -> float:
-    """Median wall-clock of the reference experiment, auditor optional."""
-    samples = []
-    for _ in range(REPEATS):
-        config = ExperimentConfig(
+def _audited_run(auditor: AuditorConfig) -> ControlledExperiment:
+    return ControlledExperiment(
+        ExperimentConfig(
             n_servers=N_SERVERS,
             duration_hours=HOURS,
             warmup_hours=0.5,
@@ -43,37 +39,23 @@ def _run_seconds(auditor: AuditorConfig | None) -> float:
             seed=11,
             auditor=auditor,
         )
-        started = time.perf_counter()
-        ControlledExperiment(config).run()
-        samples.append(time.perf_counter() - started)
-    return sorted(samples)[len(samples) // 2]
+    )
 
 
 def test_perf_auditor_overhead_under_5_percent():
     """Default-config auditing costs < 5% wall-clock."""
-    baseline_s = _run_seconds(None)
     default_config = AuditorConfig()
-    audited_s = _run_seconds(default_config)
-    overhead = audited_s / baseline_s - 1.0
-    results = {
-        "n_servers": N_SERVERS,
-        "hours": HOURS,
-        "repeats": REPEATS,
-        "interval_seconds": default_config.interval_seconds,
-        "sample_fraction": default_config.sample_fraction,
-        "baseline_s": round(baseline_s, 3),
-        "audited_s": round(audited_s, 3),
-        "overhead_fraction": round(overhead, 4),
-        "gate": MAX_OVERHEAD,
-    }
-    atomic_write_text(ARTIFACT, json.dumps(results, indent=2) + "\n")
-    print(
-        f"\nauditor overhead: baseline {baseline_s:.2f}s, "
-        f"audited {audited_s:.2f}s -> {overhead:+.1%} "
-        f"(gate {MAX_OVERHEAD:.0%}); wrote {ARTIFACT}"
+    shares = perf_gate.run_shares(
+        lambda: _audited_run(default_config), "auditor.tick", RUNS
+    )
+    overhead = statistics.median(shares)
+    perf_gate.record(
+        "auditor", "auditor_overhead", overhead, MAX_OVERHEAD, "lower", shares,
+        n_servers=N_SERVERS, hours=HOURS, runs=RUNS,
+        interval_seconds=default_config.interval_seconds,
+        sample_fraction=default_config.sample_fraction,
     )
     assert overhead < MAX_OVERHEAD, (
-        f"default-sampling auditor costs {overhead:.1%} wall-clock "
-        f"(gate {MAX_OVERHEAD:.0%}): baseline {baseline_s:.2f}s vs "
-        f"audited {audited_s:.2f}s"
+        f"default-sampling auditor costs {overhead:.1%} of the run "
+        f"(gate {MAX_OVERHEAD:.0%}); per-run shares {shares}"
     )

@@ -2,15 +2,18 @@
 
 The coordinator runs once per ``cadence_intervals`` control intervals
 and does a handful of percentile queries plus a policy solve, so its
-end-to-end cost on a fleet run must stay under 5%. Two measurements pin
-that from different angles: a wall-clock A/B of the same fleet with the
-coordinator on and off (static policy, so both runs execute identical
-trajectories), and the span tracer's own accounting of time inside
-``fleet.coordinate`` relative to ``engine.run``.
+cost on a fleet run must stay under 5%. The cost is accounted inside
+each run (:func:`perf_gate.run_shares`): ``FleetCoordinator.tick`` is
+timed and charged against the rest of the same run, under both the
+static policy and the demand-following one, whose ticks do the full
+gather/propose/apply pipeline. Measurements go to ``BENCH_fleet.json``.
 """
 
-import time
+import statistics
 
+import pytest
+
+from benchmarks import perf_gate
 from repro.fleet import FleetConfig
 from repro.sim.fleet_experiment import (
     FleetExperiment,
@@ -19,9 +22,12 @@ from repro.sim.fleet_experiment import (
 )
 from repro.sim.testbed import WorkloadSpec
 
+RUNS = 5
+MAX_OVERHEAD = 0.05
 
-def fleet_config(coordinator_enabled: bool, **overrides) -> FleetExperimentConfig:
-    kwargs = dict(
+
+def fleet_config(policy: str) -> FleetExperimentConfig:
+    return FleetExperimentConfig(
         rows=(
             FleetRowSpec(
                 n_servers=40,
@@ -40,57 +46,22 @@ def fleet_config(coordinator_enabled: bool, **overrides) -> FleetExperimentConfi
         warmup_hours=0.25,
         over_provision_ratio=0.25,
         seed=7,
-        fleet=FleetConfig(policy="static"),
-        coordinator_enabled=coordinator_enabled,
-    )
-    kwargs.update(overrides)
-    return FleetExperimentConfig(**kwargs)
-
-
-def _timed_run(coordinator_enabled: bool) -> float:
-    """Wall-clock of one fixed fleet run (build excluded)."""
-    experiment = FleetExperiment(fleet_config(coordinator_enabled))
-    started = time.perf_counter()
-    experiment.run()
-    return time.perf_counter() - started
-
-
-def test_perf_coordinator_overhead_under_five_percent():
-    """The coordinator must cost < 5% of fleet run wall-clock.
-
-    Static policy keeps the with/without trajectories bit-identical, so
-    the only difference between the variants is the coordinator's own
-    work. Rounds are interleaved and min-of-rounds discards scheduler
-    noise -- noise only ever adds time.
-    """
-    _timed_run(False)  # warm imports and allocator
-    best_off = min(_timed_run(False) for _ in range(4))
-    best_on = min(_timed_run(True) for _ in range(4))
-    assert best_on < best_off * 1.05, (
-        f"coordinator overhead {best_on / best_off - 1.0:+.1%} "
-        f"(enabled {best_on:.4f}s vs disabled {best_off:.4f}s)"
+        fleet=FleetConfig(policy=policy),
     )
 
 
-def test_perf_coordinate_span_share_under_five_percent():
-    """The tracer's own accounting agrees: time inside the
-    ``fleet.coordinate`` span is < 5% of ``engine.run`` -- measured on
-    the *dynamic* policy, whose ticks do the full gather/propose/apply
-    pipeline."""
-    experiment = FleetExperiment(
-        fleet_config(
-            True,
-            fleet=FleetConfig(policy="demand-following"),
-            telemetry_enabled=True,
-        )
+@pytest.mark.parametrize("policy", ["static", "demand-following"])
+def test_perf_coordinator_overhead_under_five_percent(policy):
+    """The coordinator's ticks cost < 5% of the fleet run they ride in."""
+    shares = perf_gate.run_shares(
+        lambda: FleetExperiment(fleet_config(policy)), "coordinator.tick", RUNS
     )
-    experiment.run()
-    summary = experiment.telemetry.tracer.summary()
-    assert "fleet.coordinate" in summary, "coordinator never ticked"
-    coordinate = summary["fleet.coordinate"]["wall_total"]
-    total = summary["engine.run"]["wall_total"]
-    share = coordinate / total
-    assert share < 0.05, (
-        f"fleet.coordinate is {share:.1%} of engine.run "
-        f"({coordinate * 1e3:.2f} ms of {total * 1e3:.2f} ms)"
+    overhead = statistics.median(shares)
+    perf_gate.record(
+        "fleet", f"coordinator_overhead[{policy}]", overhead, MAX_OVERHEAD,
+        "lower", shares, rows=2, servers_per_row=40, hours=1.5, runs=RUNS,
+    )
+    assert overhead < MAX_OVERHEAD, (
+        f"{policy} coordinator costs {overhead:.1%} of the fleet run "
+        f"(gate {MAX_OVERHEAD:.0%}); per-run shares {shares}"
     )

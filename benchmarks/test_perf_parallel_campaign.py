@@ -6,24 +6,26 @@ hardware; this benchmark records the measured speedup of
 12-cell campaign (4 ratios x 3 workloads), and verifies the two paths
 still return byte-identical rows while we are at it.
 
+The two runners are timed in interleaved pairs (:func:`perf_gate.paired`),
+min of each side; the result goes to ``BENCH_parallel_campaign.json``.
 On a multi-core machine (>= 2 usable CPUs) the speedup must reach 1.5x;
 on a single-core container process-pool parallelism cannot beat serial
-execution, so the timing is still printed/recorded but the threshold is
-not enforced.
-
-Run with ``-s`` to see the timing table.
+execution, so the timing is still recorded but the threshold is not
+enforced.
 """
 
 import json
 import os
-import time
+from functools import partial
 
+from benchmarks import perf_gate
 from repro.analysis.serialize import campaign_rows_to_dicts
 from repro.sim.campaign import Campaign
 from repro.sim.testbed import WorkloadSpec
 
 SPEEDUP_TARGET = 1.5
 WORKERS = 4
+PAIRS = 3
 
 
 def _usable_cpus() -> int:
@@ -49,26 +51,21 @@ def twelve_cell_campaign() -> Campaign:
 
 
 def test_perf_parallel_campaign_speedup():
-    campaign = twelve_cell_campaign()
-    assert len(campaign) == 12
-
-    t0 = time.perf_counter()
-    serial = campaign.run()
-    serial_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    parallel = twelve_cell_campaign().run_parallel(max_workers=WORKERS)
-    parallel_s = time.perf_counter() - t0
-
-    speedup = serial_s / parallel_s
-    print()
-    print("=" * 72)
-    print(f"12-cell campaign, serial vs {WORKERS} workers "
-          f"({_usable_cpus()} usable CPUs)")
-    print("=" * 72)
-    print(f"  serial   : {serial_s:8.2f} s")
-    print(f"  parallel : {parallel_s:8.2f} s")
-    print(f"  speedup  : {speedup:8.2f} x   (target >= {SPEEDUP_TARGET} x)")
+    assert len(twelve_cell_campaign()) == 12
+    pairs = perf_gate.paired(
+        lambda: twelve_cell_campaign().run,
+        lambda: partial(twelve_cell_campaign().run_parallel, max_workers=WORKERS),
+        PAIRS,
+    )
+    serial, parallel = pairs.results
+    serial_s, parallel_s = min(pairs.first), min(pairs.second)
+    speedup = pairs.ratio
+    perf_gate.record(
+        "parallel_campaign", "parallel_campaign_speedup", speedup,
+        SPEEDUP_TARGET, "higher", pairs.ratios, workers=WORKERS,
+        usable_cpus=_usable_cpus(), pairs=PAIRS,
+        serial_s=round(serial_s, 3), parallel_s=round(parallel_s, 3),
+    )
 
     # Correctness first: parallel rows are byte-identical to serial.
     as_bytes = lambda result: json.dumps(

@@ -28,6 +28,12 @@ machinery share (the bare driver's own slicing/locking is not
 supervision and is subtracted out), and that delta is gated against the
 run's simulation time.
 
+The advance timer lives on a subclass rather than on the instance, as
+:func:`perf_gate.run_shares` would put it, because the supervised run
+snapshots the experiment itself and a closure on the instance would
+not pickle. The two configurations run in interleaved pairs
+(:func:`perf_gate.interleave`).
+
 Two deliberate measurement choices:
 
 - The supervised run keeps the *default* wall-clock checkpoint throttle
@@ -45,12 +51,11 @@ Two deliberate measurement choices:
   pure resilience cost.
 """
 
-import json
 import statistics
 import time
 from pathlib import Path
 
-from repro.durability.atomic import atomic_write_text
+from benchmarks import perf_gate
 from repro.service.driver import RealTimeDriver
 from repro.service.supervisor import DriverSupervisor, SupervisorConfig
 from repro.service.wal import apply_act
@@ -62,9 +67,6 @@ HOURS = 2.0
 AUTO_SNAPSHOT_EVERY = 600.0
 REPEATS = 5
 MAX_OVERHEAD = 0.05
-ARTIFACT = (
-    Path(__file__).resolve().parent.parent / "BENCH_service_resilience.json"
-)
 
 ACT_TIMES = (1800.0, 3600.0, 5400.0)  # freeze / unfreeze / freeze
 
@@ -160,19 +162,10 @@ def test_perf_service_resilience_overhead_under_5_percent(tmp_path):
     per-run machinery seconds (total minus in-run advance time) are
     medianed across repeats before the delta is taken.
     """
-    baseline_samples = []
-    supervised_samples = []
-    for index in range(REPEATS):
-        pair = [
-            lambda: baseline_samples.append(_baseline_once()),
-            lambda i=index: supervised_samples.append(
-                _supervised_once(tmp_path / f"state-{i}")
-            ),
-        ]
-        if index % 2:
-            pair.reverse()
-        for run in pair:
-            run()
+    state_dirs = (tmp_path / f"state-{i}" for i in range(REPEATS))
+    baseline_samples, supervised_samples = perf_gate.interleave(
+        _baseline_once, lambda: _supervised_once(next(state_dirs)), REPEATS
+    )
 
     calls = {s["calls"] for s in baseline_samples + supervised_samples}
     assert len(calls) == 1, (
@@ -189,32 +182,18 @@ def test_perf_service_resilience_overhead_under_5_percent(tmp_path):
         s["advance"] for s in baseline_samples + supervised_samples
     )
     overhead = (sup_machinery - base_machinery) / sim_seconds
-    results = {
-        "n_servers": N_SERVERS,
-        "hours": HOURS,
-        "repeats": REPEATS,
-        "acts": len(ACT_TIMES),
-        "auto_snapshot_every_s": AUTO_SNAPSHOT_EVERY,
-        "advance_calls": calls.pop(),
-        "simulation_s": round(sim_seconds, 3),
-        "baseline_machinery_s": round(base_machinery, 4),
-        "supervised_machinery_s": round(sup_machinery, 4),
-        "baseline_total_s": round(
-            statistics.median(s["total"] for s in baseline_samples), 3
-        ),
-        "supervised_total_s": round(
-            statistics.median(s["total"] for s in supervised_samples), 3
-        ),
-        "overhead_fraction": round(overhead, 4),
-        "gate": MAX_OVERHEAD,
-    }
-    atomic_write_text(ARTIFACT, json.dumps(results, indent=2) + "\n")
-    print(
-        f"\nservice resilience overhead: machinery "
-        f"{base_machinery * 1000:.1f}ms bare -> "
-        f"{sup_machinery * 1000:.1f}ms supervised over "
-        f"{sim_seconds:.2f}s of simulation -> {overhead:+.1%} "
-        f"(gate {MAX_OVERHEAD:.0%}); wrote {ARTIFACT}"
+    per_pair = [
+        ((sup["total"] - sup["advance"]) - (base["total"] - base["advance"]))
+        / base["advance"]
+        for base, sup in zip(baseline_samples, supervised_samples)
+    ]
+    perf_gate.record(
+        "service_resilience", "supervision_overhead", overhead, MAX_OVERHEAD,
+        "lower", per_pair, n_servers=N_SERVERS, hours=HOURS, pairs=REPEATS,
+        acts=len(ACT_TIMES), auto_snapshot_every_s=AUTO_SNAPSHOT_EVERY,
+        advance_calls=calls.pop(), simulation_s=round(sim_seconds, 3),
+        baseline_machinery_s=round(base_machinery, 4),
+        supervised_machinery_s=round(sup_machinery, 4),
     )
     assert overhead < MAX_OVERHEAD, (
         f"supervision machinery costs {overhead:.1%} of simulation time "

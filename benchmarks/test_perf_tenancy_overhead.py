@@ -15,20 +15,18 @@ written to ``BENCH_tenancy.json`` for CI to publish:
 * **State overhead** -- the tenant-id column adds one int64 per slot to
   the columnar store (8 bytes/server), nothing per-object.
 
+The two ticks are timed in interleaved pairs (:func:`perf_gate.paired`),
+each on fresh power readings with its own frozen set carried forward.
 Fairness semantics are pinned in ``tests/test_tenancy.py``; this file
 only pins the price.
 """
 
-import json
-import time
-from pathlib import Path
-
 import numpy as np
 
+from benchmarks import perf_gate
 from repro.cluster.power import PowerModelParams
 from repro.cluster.state import ClusterState
 from repro.core.policy import plan_freeze_set
-from repro.durability.atomic import atomic_write_text
 from repro.sim.engine import Engine
 from repro.tenancy import (
     FairShareFreezePolicy,
@@ -41,9 +39,7 @@ from repro.tenancy import (
 N_SERVERS = 10_000
 N_FREEZE = 2_000
 TICKS = 9
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_tenancy.json"
-
-RESULTS: dict = {}
+MAX_OVERHEAD = 0.05
 
 
 def _mix() -> TenancyConfig:
@@ -63,22 +59,23 @@ def _powers(rng: np.random.Generator) -> dict:
     }
 
 
-def _median_tick_seconds(tick, rng: np.random.Generator) -> float:
-    """Median wall-clock of one freeze-planning tick at steady state.
+def _steady_ticks(tick, rng: np.random.Generator):
+    """Makers of timed freeze-planning ticks, run outside-in like the
+    controller: fresh power readings every tick (drawn untimed), the
+    previous tick's frozen set carried forward, so hysteresis churn,
+    not a cold start, is what gets timed."""
+    frozen = set()
 
-    ``tick(powers, frozen) -> new_frozen`` runs outside-in like the
-    controller: fresh power readings every tick, the previous tick's
-    frozen set carried forward (so hysteresis churn, not a cold start,
-    is what gets timed).
-    """
-    frozen = tick(_powers(rng), set())  # warm-up: the cold first tick
-    samples = []
-    for _ in range(TICKS):
+    def make():
         powers = _powers(rng)
-        started = time.perf_counter()
-        frozen = tick(powers, frozen)
-        samples.append(time.perf_counter() - started)
-    return sorted(samples)[len(samples) // 2]
+
+        def run():
+            nonlocal frozen
+            frozen = tick(powers, frozen)
+
+        return run
+
+    return make
 
 
 def test_perf_tenancy_tick_overhead_under_5pct_at_10k():
@@ -102,23 +99,20 @@ def test_perf_tenancy_tick_overhead_under_5pct_at_10k():
             accountant.on_control_event("unfreeze", sid)
         return set(plan.new_frozen)
 
-    blind_s = _median_tick_seconds(blind_tick, np.random.default_rng(7))
-    fair_s = _median_tick_seconds(fair_tick, np.random.default_rng(7))
-    overhead = fair_s / blind_s - 1.0
-    RESULTS["tick"] = {
-        "n_servers": N_SERVERS,
-        "n_freeze": N_FREEZE,
-        "ticks_timed": TICKS,
-        "blind_ms_per_tick": round(blind_s * 1e3, 3),
-        "fair_ms_per_tick": round(fair_s * 1e3, 3),
-        "overhead_pct": round(overhead * 100.0, 1),
-    }
-    print(
-        f"\n10k-server freeze tick: blind {blind_s * 1e3:.2f} ms, "
-        f"fair+accounting {fair_s * 1e3:.2f} ms "
-        f"-> {overhead * 100.0:+.1f}%"
+    pairs = perf_gate.paired(
+        _steady_ticks(fair_tick, np.random.default_rng(7)),
+        _steady_ticks(blind_tick, np.random.default_rng(7)),
+        TICKS,
     )
-    assert overhead < 0.05, (
+    overhead = pairs.ratio - 1.0
+    fair_s, blind_s = min(pairs.first), min(pairs.second)
+    perf_gate.record(
+        "tenancy", "tenancy_tick_overhead", overhead, MAX_OVERHEAD, "lower",
+        [r - 1.0 for r in pairs.ratios], n_servers=N_SERVERS, n_freeze=N_FREEZE,
+        pairs=TICKS, blind_ms_per_tick=round(blind_s * 1e3, 3),
+        fair_ms_per_tick=round(fair_s * 1e3, 3),
+    )
+    assert overhead < MAX_OVERHEAD, (
         f"tenancy adds {overhead:.1%} per control tick at {N_SERVERS} "
         f"servers ({fair_s * 1e3:.2f} ms vs {blind_s * 1e3:.2f} ms); "
         "budget is 5%"
@@ -133,22 +127,8 @@ def test_perf_tenant_column_is_8_bytes_per_slot():
         state.add_server(i, 16, 64.0, params, 0.05)
     state.set_tenant(np.arange(0, N_SERVERS, 3), 1)
     per_slot = state.tenant_ids.nbytes / len(state.tenant_ids)
-    RESULTS["state"] = {
-        "tenant_column_bytes_per_slot": per_slot,
-        "total_bytes_per_server": round(state.bytes_per_server(), 1),
-    }
-    print(
-        f"\ntenant column: {per_slot:.0f} B/slot of "
-        f"{state.bytes_per_server():.0f} B/server total"
+    perf_gate.record(
+        "tenancy", "tenant_column_bytes_per_slot", per_slot, 8.0, "lower",
+        [per_slot], total_bytes_per_server=round(state.bytes_per_server(), 1),
     )
     assert per_slot == 8.0
-
-
-def test_perf_write_artifact():
-    """Persist the measurements for the CI artifact (runs last)."""
-    assert "tick" in RESULTS and "state" in RESULTS, (
-        "artifact test must run after the measurement tests (pytest "
-        "runs this file top to bottom)"
-    )
-    atomic_write_text(ARTIFACT, json.dumps(RESULTS, indent=2) + "\n")
-    print(f"\nwrote {ARTIFACT}")

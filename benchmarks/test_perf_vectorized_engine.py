@@ -14,19 +14,18 @@ Two contracts, measured at facility scale and written to
   slot all the way to 100k servers (no per-object dicts in the hot
   state), an order of magnitude below what a ``Server`` object costs.
 
-The oracle computes *bit-identical* readings (see
-``tests/test_backend_equivalence.py``); this file only pins the price.
+The two sweeps are timed in interleaved pairs (:func:`perf_gate.paired`),
+each with the power cache cold. The oracle computes *bit-identical*
+readings (see ``tests/test_backend_equivalence.py``); this file only
+pins the price.
 """
 
-import json
-import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 
+from benchmarks import perf_gate
 from repro.cluster.datacenter import build_row
-from repro.durability.atomic import atomic_write_text
 from repro.cluster.power import PowerModelParams
 from repro.cluster.server import Server
 from repro.cluster.state import ClusterState
@@ -39,27 +38,23 @@ RACKS = 250
 SERVERS_PER_RACK = 40
 SWEEPS = 5
 FAILURE_RATE = 0.02
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_vectorized.json"
-
-RESULTS: dict = {}
+MIN_SPEEDUP = 10.0
 
 
-def _median_sweep_seconds(row, sweep) -> float:
-    """Median wall-clock of ``sweep()`` with the power cache cold."""
+def _cold(row, sweep):
+    """Maker of one timed ``sweep()`` with the row's power cache cold."""
     state, indices = row.state, row.state_indices
-    sweep()  # warm caches / allocators out of the timing
-    samples = []
-    for _ in range(SWEEPS):
+
+    def make():
         # Workload churn invalidates power between ticks in a real run;
         # charge both loops for the recompute, not a cache hit.
         state.invalidate_power(indices)
-        started = time.perf_counter()
-        sweep()
-        samples.append(time.perf_counter() - started)
-    return sorted(samples)[len(samples) // 2]
+        return sweep
+
+    return make
 
 
-def _array_sweep_seconds() -> float:
+def _array_sweep():
     row = build_row(0, racks=RACKS, servers_per_rack=SERVERS_PER_RACK)
     monitor = PowerMonitor(
         Engine(),
@@ -73,10 +68,10 @@ def _array_sweep_seconds() -> float:
         monitor.sample_once()
         row.power_watts()
 
-    return _median_sweep_seconds(row, sweep)
+    return _cold(row, sweep)
 
 
-def _oracle_sweep_seconds() -> float:
+def _oracle_sweep():
     row = build_row(0, racks=RACKS, servers_per_rack=SERVERS_PER_RACK)
     fleet = scalar_oracle.IpmiSweepOracle(
         row.servers,
@@ -89,26 +84,21 @@ def _oracle_sweep_seconds() -> float:
         sum(v for v in fleet.poll() if v == v)  # NaN-skipping total
         scalar_oracle.total_power(row.servers)
 
-    return _median_sweep_seconds(row, sweep)
+    return _cold(row, sweep)
 
 
 def test_perf_sweep_throughput_10x_at_10k():
     """>= 10x monitor-sweep throughput at 10k servers."""
-    oracle_s = _oracle_sweep_seconds()
-    array_s = _array_sweep_seconds()
-    speedup = oracle_s / array_s
-    RESULTS["sweep"] = {
-        "n_servers": N_SERVERS,
-        "sweeps_timed": SWEEPS,
-        "scalar_oracle_ms_per_sweep": round(oracle_s * 1e3, 3),
-        "array_ms_per_sweep": round(array_s * 1e3, 3),
-        "speedup": round(speedup, 1),
-    }
-    print(
-        f"\n10k-server sweep: scalar oracle {oracle_s * 1e3:.1f} ms, "
-        f"array {array_s * 1e3:.1f} ms -> {speedup:.1f}x"
+    pairs = perf_gate.paired(_oracle_sweep(), _array_sweep(), SWEEPS)
+    speedup = pairs.ratio
+    oracle_s, array_s = min(pairs.first), min(pairs.second)
+    perf_gate.record(
+        "vectorized", "sweep_speedup", speedup, MIN_SPEEDUP, "higher",
+        pairs.ratios, n_servers=N_SERVERS, pairs=SWEEPS,
+        scalar_oracle_ms_per_sweep=round(oracle_s * 1e3, 3),
+        array_ms_per_sweep=round(array_s * 1e3, 3),
     )
-    assert speedup >= 10.0, (
+    assert speedup >= MIN_SPEEDUP, (
         f"array sweep only {speedup:.1f}x faster at {N_SERVERS} servers "
         f"({oracle_s * 1e3:.1f} ms vs {array_s * 1e3:.1f} ms)"
     )
@@ -141,16 +131,12 @@ def test_perf_memory_flat_to_100k():
     )
     per_object = object_bytes / len(servers)
 
-    RESULTS["memory"] = {
-        "columnar_bytes_per_server_10k": round(per_slot_10k, 1),
-        "columnar_bytes_per_server_100k": round(per_slot_100k, 1),
-        "columnar_mb_total_100k": round(at_100k.nbytes / 2**20, 2),
-        "object_bytes_per_server": round(per_object, 1),
-    }
-    print(
-        f"\ncolumnar: {per_slot_100k:.0f} B/server "
-        f"({at_100k.nbytes / 2**20:.1f} MB at 100k); "
-        f"Server object: {per_object:.0f} B/server"
+    perf_gate.record(
+        "vectorized", "server_object_over_columnar_bytes",
+        per_object / per_slot_100k, 10.0, "higher", [per_object / per_slot_100k],
+        columnar_bytes_per_server_100k=round(per_slot_100k, 1),
+        columnar_mb_total_100k=round(at_100k.nbytes / 2**20, 2),
+        object_bytes_per_server=round(per_object, 1),
     )
     # Flat per-slot cost: 100k costs the same per server as 10k.
     assert per_slot_100k == per_slot_10k
@@ -158,13 +144,3 @@ def test_perf_memory_flat_to_100k():
     assert at_100k.nbytes < 64 * 2**20
     # And far below a Server object's per-server footprint.
     assert per_slot_100k * 10 < per_object
-
-
-def test_perf_write_artifact():
-    """Persist the measurements for the CI artifact (runs last)."""
-    assert "sweep" in RESULTS and "memory" in RESULTS, (
-        "artifact test must run after the measurement tests (pytest "
-        "runs this file top to bottom)"
-    )
-    atomic_write_text(ARTIFACT, json.dumps(RESULTS, indent=2) + "\n")
-    print(f"\nwrote {ARTIFACT}")

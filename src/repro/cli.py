@@ -4,7 +4,6 @@ Exposes the main experiment harnesses without writing Python::
 
     ampere-repro experiment --workload heavy --hours 24 --ro 0.25
     ampere-repro run --faults chaos --hours 2 --capping
-    ampere-repro sweep --hours 12
     ampere-repro calibrate --hours 12
     ampere-repro interactive --hours 2
     ampere-repro trace --days 1
@@ -13,7 +12,6 @@ Exposes the main experiment harnesses without writing Python::
     ampere-repro tenancy-ab --tenants critical-batch --hours 3
     ampere-repro campaign --checkpoint-dir ck/ --resume
     ampere-repro metrics --hours 2 --json snapshot.json
-    ampere-repro spans --hours 2
     ampere-repro verify-snapshot run.snap
 
 (``run`` is an alias of ``experiment``; ``--faults`` injects one of the
@@ -30,9 +28,11 @@ freeze policies and reports the per-tenant fairness delta; ``--tenants``
 on ``experiment``/``fleet``/``campaign``/``serve`` tags the run with one
 of the builtin tenant mixes of :mod:`repro.tenancy`.
 ``metrics``
-and ``spans`` run a telemetry-enabled experiment and expose the
-:mod:`repro.telemetry` registry and control-loop span traces; the global
-``--log-level`` flag turns on the package's stdlib logging.)
+runs a telemetry-enabled experiment and prints the
+:mod:`repro.telemetry` registry (Prometheus text, stdout) and its
+control-loop span table (stderr); the global ``--log-level`` flag turns
+on the package's stdlib logging. One r_O sweep cell is ``experiment
+--scale-experiment-only --ro X``; the grid of cells is ``campaign``.)
 
 Every command prints the same style of tables the paper reports and exits
 non-zero on invalid arguments.
@@ -170,14 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a durable snapshot of the finished simulation state "
         "to PATH (verify it later with 'verify-snapshot')",
     )
-
-    sweep = sub.add_parser("sweep", help="G_TPW sweep over r_O (Table 3 / Section 4.4)")
-    _add_common(sweep)
-    sweep.add_argument("--hours", type=float, default=12.0)
-    sweep.add_argument(
-        "--ratios", type=float, nargs="+", default=[0.13, 0.17, 0.21, 0.25]
-    )
-    sweep.add_argument("--workload", choices=sorted(WORKLOADS), default="typical")
 
     calibrate = sub.add_parser(
         "calibrate", help="measure f(u) and fit k_r (Section 3.4 / Figure 5)"
@@ -375,10 +367,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     metrics = sub.add_parser(
         "metrics",
-        help="run a telemetry-enabled experiment and print its metrics "
-        "(Prometheus text format)",
+        help="run a telemetry-enabled experiment; print its metrics "
+        "(Prometheus text format) to stdout and its control-loop span "
+        "table to stderr",
     )
-    _add_telemetry_run_args(metrics)
+    _add_common(metrics)
+    metrics.add_argument("--hours", type=float, default=2.0)
+    metrics.add_argument("--ro", type=float, default=0.25, help="over-provision ratio")
+    metrics.add_argument("--workload", choices=sorted(WORKLOADS), default="heavy")
+    metrics.add_argument(
+        "--faults",
+        choices=sorted(SCENARIOS),
+        default=None,
+        help="inject a named control-plane fault scenario",
+    )
     metrics.add_argument(
         "--json",
         type=str,
@@ -393,20 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write the Prometheus exposition to PATH",
     )
-
-    spans = sub.add_parser(
-        "spans",
-        help="run a telemetry-enabled experiment and summarize its "
-        "control-loop span traces",
-    )
-    _add_telemetry_run_args(spans)
-    spans.add_argument(
+    metrics.add_argument(
         "--name",
         type=str,
         default=None,
-        help="restrict to one span name (e.g. controller.tick)",
+        help="restrict the span table to one span name (e.g. controller.tick)",
     )
-    spans.add_argument(
+    metrics.add_argument(
         "--last",
         type=int,
         default=0,
@@ -541,20 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
         "replay); experiment-building flags are ignored",
     )
     return parser
-
-
-def _add_telemetry_run_args(parser: argparse.ArgumentParser) -> None:
-    """Shared arguments of the ``metrics`` and ``spans`` commands."""
-    _add_common(parser)
-    parser.add_argument("--hours", type=float, default=2.0)
-    parser.add_argument("--ro", type=float, default=0.25, help="over-provision ratio")
-    parser.add_argument("--workload", choices=sorted(WORKLOADS), default="heavy")
-    parser.add_argument(
-        "--faults",
-        choices=sorted(SCENARIOS),
-        default=None,
-        help="inject a named control-plane fault scenario",
-    )
 
 
 def _print_facility_line(result: ExperimentResult) -> None:
@@ -692,33 +673,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.save_snapshot:
         experiment.save_snapshot(args.save_snapshot)
         print(f"snapshot written to {args.save_snapshot}", file=sys.stderr)
-    return 0
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    rows = []
-    for r_o in args.ratios:
-        config = ExperimentConfig(
-            n_servers=args.servers,
-            duration_hours=args.hours,
-            over_provision_ratio=r_o,
-            scale_control_budget=False,
-            workload=WORKLOADS[args.workload](),
-            seed=args.seed,
-        )
-        result = ControlledExperiment(config).run()
-        summary = result.experiment.summary
-        rows.append(
-            [
-                f"{r_o:.2f}",
-                f"{summary.p_mean:.3f}",
-                format_percent(summary.u_mean),
-                f"{result.r_t:.3f}",
-                format_percent(result.g_tpw),
-                str(summary.violations),
-            ]
-        )
-    print(render_table(["r_O", "P_mean", "u_mean", "r_T", "G_TPW", "violations"], rows))
     return 0
 
 
@@ -1061,23 +1015,6 @@ def cmd_tenancy_ab(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_telemetry_experiment(args: argparse.Namespace) -> ControlledExperiment:
-    """Build and run the telemetry-enabled experiment behind
-    ``metrics``/``spans``. Returns the experiment (registry + tracer)."""
-    config = ExperimentConfig(
-        n_servers=args.servers,
-        duration_hours=args.hours,
-        over_provision_ratio=args.ro,
-        workload=WORKLOADS[args.workload](),
-        seed=args.seed,
-        faults=SCENARIOS[args.faults] if args.faults else None,
-        telemetry_enabled=True,
-    )
-    experiment = ControlledExperiment(config)
-    experiment.run()
-    return experiment
-
-
 def cmd_metrics(args: argparse.Namespace) -> int:
     from repro.telemetry import (
         PROMETHEUS_CONTENT_TYPE,
@@ -1085,8 +1022,26 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         save_snapshot,
     )
 
-    experiment = _run_telemetry_experiment(args)
+    experiment = ControlledExperiment(
+        ExperimentConfig(
+            n_servers=args.servers,
+            duration_hours=args.hours,
+            over_provision_ratio=args.ro,
+            workload=WORKLOADS[args.workload](),
+            seed=args.seed,
+            faults=SCENARIOS[args.faults] if args.faults else None,
+            telemetry_enabled=True,
+        )
+    )
+    experiment.run()
     registry = experiment.telemetry.registry
+    tracer = experiment.telemetry.tracer
+    summary = tracer.summary()
+    if args.name is not None:
+        summary = {k: v for k, v in summary.items() if k == args.name}
+        if not summary:
+            print(f"no spans named {args.name!r}", file=sys.stderr)
+            return 1
     text = render_prometheus(registry)
     print(text, end="")
     if args.prom:
@@ -1099,18 +1054,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if args.json:
         save_snapshot(registry, args.json)
         print(f"# snapshot written to {args.json}", file=sys.stderr)
-    return 0
 
-
-def cmd_spans(args: argparse.Namespace) -> int:
-    experiment = _run_telemetry_experiment(args)
-    tracer = experiment.telemetry.tracer
-    summary = tracer.summary()
-    if args.name is not None:
-        summary = {k: v for k, v in summary.items() if k == args.name}
-        if not summary:
-            print(f"no spans named {args.name!r}", file=sys.stderr)
-            return 1
+    # The span table goes to stderr: stdout stays a clean exposition.
     rows = [
         [
             name,
@@ -1127,18 +1072,23 @@ def cmd_spans(args: argparse.Namespace) -> int:
             ["span", "count", "sim total (s)", "wall total (ms)",
              "wall mean (us)", "wall max (us)"],
             rows,
-        )
+        ),
+        file=sys.stderr,
     )
     if tracer.dropped:
-        print(f"\n({tracer.dropped} spans dropped by the ring buffer)")
+        print(
+            f"\n({tracer.dropped} spans dropped by the ring buffer)",
+            file=sys.stderr,
+        )
     if args.last > 0:
         records = list(tracer.spans(name=args.name))[-args.last :]
-        print()
+        print(file=sys.stderr)
         for record in records:
             print(
                 f"  t={record.start_sim:10.1f}s  {record.name:<16s} "
                 f"wall={record.wall_duration * 1e6:8.1f}us "
-                f"attrs={record.attributes}"
+                f"attrs={record.attributes}",
+                file=sys.stderr,
             )
     return 0
 
@@ -1305,7 +1255,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 COMMANDS = {
     "experiment": cmd_experiment,
     "run": cmd_experiment,  # alias registered on the subparser
-    "sweep": cmd_sweep,
     "calibrate": cmd_calibrate,
     "interactive": cmd_interactive,
     "trace": cmd_trace,
@@ -1314,7 +1263,6 @@ COMMANDS = {
     "fleet": cmd_fleet,
     "tenancy-ab": cmd_tenancy_ab,
     "metrics": cmd_metrics,
-    "spans": cmd_spans,
     "verify-snapshot": cmd_verify_snapshot,
     "serve": cmd_serve,
 }

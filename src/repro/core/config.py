@@ -9,6 +9,7 @@ ratio of freezing servers to 50%", Section 4.1.1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -81,43 +82,27 @@ class AmpereConfig:
     history_window: int = 0
 
     def __post_init__(self) -> None:
-        if self.control_interval <= 0:
-            raise ValueError(
-                f"control_interval must be positive, got {self.control_interval}"
-            )
-        if not 0.0 < self.r_stable <= 1.0:
-            raise ValueError(f"r_stable must be in (0, 1], got {self.r_stable}")
-        if not 0.0 < self.u_max <= 1.0:
-            raise ValueError(f"u_max must be in (0, 1], got {self.u_max}")
-        if not 0.0 < self.control_target <= 1.0:
-            raise ValueError(
-                f"control_target must be in (0, 1], got {self.control_target}"
-            )
-        if self.default_e_t < 0:
-            raise ValueError(f"default_e_t must be non-negative, got {self.default_e_t}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.max_staleness_seconds <= 0:
-            raise ValueError(
-                f"max_staleness_seconds must be positive, got {self.max_staleness_seconds}"
-            )
-        if self.rpc_max_attempts < 1:
-            raise ValueError(
-                f"rpc_max_attempts must be >= 1, got {self.rpc_max_attempts}"
-            )
-        if self.rpc_backoff_base_seconds < 0:
-            raise ValueError(
-                "rpc_backoff_base_seconds must be non-negative, "
-                f"got {self.rpc_backoff_base_seconds}"
-            )
-        if self.rpc_deadline_seconds <= 0:
-            raise ValueError(
-                f"rpc_deadline_seconds must be positive, got {self.rpc_deadline_seconds}"
-            )
-        if self.history_window < 0:
-            raise ValueError(
-                f"history_window must be non-negative, got {self.history_window}"
-            )
+        # Each test is written so that NaN fails it.
+        inf = math.inf
+        checks = (
+            ("control_interval", 0.0 < self.control_interval < inf, "positive and finite"),
+            ("r_stable", 0.0 < self.r_stable <= 1.0, "in (0, 1]"),
+            ("u_max", 0.0 < self.u_max <= 1.0, "in (0, 1]"),
+            ("control_target", 0.0 < self.control_target <= 1.0, "in (0, 1]"),
+            ("default_e_t", 0.0 <= self.default_e_t < inf, "non-negative and finite"),
+            ("horizon", 1 <= self.horizon < inf, "finite and >= 1"),
+            ("max_staleness_seconds", 0.0 < self.max_staleness_seconds < inf,
+             "positive and finite"),
+            ("rpc_max_attempts", 1 <= self.rpc_max_attempts < inf, "finite and >= 1"),
+            ("rpc_backoff_base_seconds", 0.0 <= self.rpc_backoff_base_seconds < inf,
+             "non-negative and finite"),
+            ("rpc_deadline_seconds", 0.0 < self.rpc_deadline_seconds < inf,
+             "positive and finite"),
+            ("history_window", 0 <= self.history_window < inf, "finite and >= 0"),
+        )
+        for name, valid, expected in checks:
+            if not valid:
+                raise ValueError(f"{name} must be {expected}, got {getattr(self, name)}")
 
 
 __all__ = ["AmpereConfig"]

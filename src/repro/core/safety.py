@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
@@ -104,39 +105,24 @@ class SafetyConfig:
     breaker_reset_minutes: float = 15.0
 
     def __post_init__(self) -> None:
-        if self.interval_seconds <= 0:
-            raise ValueError(
-                f"interval_seconds must be positive, got {self.interval_seconds}"
-            )
-        if not 0.0 < self.release_ratio < self.warning_ratio:
-            raise ValueError(
-                "need 0 < release_ratio < warning_ratio, got "
-                f"{self.release_ratio} vs {self.warning_ratio}"
-            )
-        if self.critical_ratio < self.warning_ratio:
-            raise ValueError(
-                "critical_ratio must be >= warning_ratio, got "
-                f"{self.critical_ratio} < {self.warning_ratio}"
-            )
-        if not 0.0 < self.shed_thermal_fraction <= 1.0:
-            raise ValueError(
-                "shed_thermal_fraction must be in (0, 1], got "
-                f"{self.shed_thermal_fraction}"
-            )
-        if self.release_ticks < 1:
-            raise ValueError(
-                f"release_ticks must be >= 1, got {self.release_ticks}"
-            )
-        if self.breaker_interval_seconds <= 0:
-            raise ValueError(
-                "breaker_interval_seconds must be positive, got "
-                f"{self.breaker_interval_seconds}"
-            )
-        if self.breaker_reset_minutes <= 0:
-            raise ValueError(
-                "breaker_reset_minutes must be positive, got "
-                f"{self.breaker_reset_minutes}"
-            )
+        # Each test is written so that NaN fails it.
+        inf = math.inf
+        checks = (
+            ("interval_seconds", 0.0 < self.interval_seconds < inf, "positive and finite"),
+            ("release_ratio", 0.0 < self.release_ratio < self.warning_ratio,
+             f"in (0, warning_ratio={self.warning_ratio})"),
+            ("critical_ratio", self.warning_ratio <= self.critical_ratio < inf,
+             f"finite and >= warning_ratio={self.warning_ratio}"),
+            ("shed_thermal_fraction", 0.0 < self.shed_thermal_fraction <= 1.0, "in (0, 1]"),
+            ("release_ticks", 1 <= self.release_ticks < inf, "finite and >= 1"),
+            ("breaker_interval_seconds", 0.0 < self.breaker_interval_seconds < inf,
+             "positive and finite"),
+            ("breaker_reset_minutes", 0.0 < self.breaker_reset_minutes < inf,
+             "positive and finite"),
+        )
+        for name, valid, expected in checks:
+            if not valid:
+                raise ValueError(f"{name} must be {expected}, got {getattr(self, name)}")
 
 
 @dataclass

@@ -21,6 +21,7 @@ Two hazard planes live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -180,23 +181,30 @@ class FaultScenario:
             )
         _check_windows("sensor_bias", [(s, d) for s, d, _ in self.sensor_bias])
         _check_windows("crash_storm", [(s, d) for s, d, _ in self.crash_storms])
-        if not 0.0 <= self.rpc_failure_rate < 1.0:
-            raise ValueError(
-                f"rpc_failure_rate must be in [0, 1), got {self.rpc_failure_rate}"
-            )
-        if self.rpc_latency_seconds < 0 or self.rpc_timeout_seconds < 0:
-            raise ValueError("RPC latencies must be non-negative")
+        # Each test is written so that NaN fails it.
+        inf = math.inf
+        checks = (
+            ("rpc_failure_rate", 0.0 <= self.rpc_failure_rate < 1.0, "in [0, 1)"),
+            ("rpc_latency_seconds", 0.0 <= self.rpc_latency_seconds < inf,
+             "non-negative and finite"),
+            ("rpc_timeout_seconds", 0.0 <= self.rpc_timeout_seconds < inf,
+             "non-negative and finite"),
+            ("restart_delay_seconds", 0.0 <= self.restart_delay_seconds < inf,
+             "non-negative and finite"),
+            ("server_mtbf_hours", 0.0 <= self.server_mtbf_hours < inf,
+             "non-negative and finite"),
+            ("server_mttr_minutes", 0.0 < self.server_mttr_minutes < inf,
+             "positive and finite"),
+        )
+        for name, valid, expected in checks:
+            if not valid:
+                raise ValueError(f"{name} must be {expected}, got {getattr(self, name)}")
         if any(t < 0 for t in self.crash_times):
             raise ValueError(f"crash_times must be non-negative, got {self.crash_times}")
         if any(t > MAX_EVENT_SECONDS for t in self.crash_times):
             raise ValueError(
                 f"crash_times beyond the {MAX_EVENT_SECONDS:.0f}s sanity "
                 f"bound (units mistake?): {self.crash_times}"
-            )
-        if self.restart_delay_seconds < 0:
-            raise ValueError(
-                f"restart_delay_seconds must be non-negative, "
-                f"got {self.restart_delay_seconds}"
             )
         for _, _, factor in self.surges:
             if factor <= 0:
@@ -213,14 +221,6 @@ class FaultScenario:
                 raise ValueError(
                     f"sensor_bias factor must be positive, got {factor}"
                 )
-        if self.server_mtbf_hours < 0:
-            raise ValueError(
-                f"server_mtbf_hours must be non-negative, got {self.server_mtbf_hours}"
-            )
-        if self.server_mttr_minutes <= 0:
-            raise ValueError(
-                f"server_mttr_minutes must be positive, got {self.server_mttr_minutes}"
-            )
         for _, _, mtbf in self.crash_storms:
             if mtbf <= 0:
                 raise ValueError(

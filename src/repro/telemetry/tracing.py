@@ -14,9 +14,10 @@ win and :attr:`Tracer.dropped` counts what the ring evicted. Range
 queries filter by span name and sim-time window.
 
 Wall-clock readings make span records inherently per-process, so spans
-never cross the campaign worker boundary and are excluded from merged
-snapshots -- the metrics registry is the deterministic surface, the
-tracer is the local diagnostic one.
+never cross the campaign worker boundary, are excluded from merged
+snapshots and are not pickled with a run snapshot -- the metrics
+registry is the deterministic surface, the tracer is the local
+diagnostic one.
 """
 
 from __future__ import annotations
@@ -153,6 +154,16 @@ class Tracer:
         """Point sim-time reads at the (one) engine driving this run."""
         self._sim_clock = clock
 
+    def __getstate__(self) -> dict:
+        # Span records carry this process's wall-clock readings, so they
+        # stay behind: a pickled tracer (inside a run snapshot) restores
+        # with an empty ring, and two runs of one seed snapshot to the
+        # same bytes.
+        state = self.__dict__.copy()
+        state["_ring"] = deque(maxlen=self.capacity)
+        state["_stack"] = []
+        return state
+
     # ------------------------------------------------------------------
     def span(self, name: str, **attributes: object) -> _ActiveSpan:
         """Open a span; use as a context manager.
@@ -223,7 +234,7 @@ class Tracer:
         """Per-name aggregate of retained spans.
 
         Returns ``{name: {count, wall_total, wall_mean, wall_max,
-        sim_total}}`` -- the table behind the ``spans`` CLI command.
+        sim_total}}`` -- the span table the ``metrics`` CLI command prints.
         """
         grouped: Dict[str, List[SpanRecord]] = {}
         for record in self._ring:

@@ -35,10 +35,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "--workload", "insane"])
 
-    def test_sweep_ratios(self):
-        args = build_parser().parse_args(["sweep", "--ratios", "0.1", "0.2"])
-        assert args.ratios == [0.1, 0.2]
-
     def test_campaign_parallel_flags(self):
         args = build_parser().parse_args(["campaign", "--workers", "4"])
         assert args.workers == 4 and not args.parallel
@@ -59,15 +55,10 @@ class TestExecution:
         assert "experiment" in out
         assert "G_TPW" in out
 
-    def test_sweep_command_runs(self, capsys):
-        code = main(
-            [
-                "sweep", "--servers", "80", "--hours", "0.5",
-                "--ratios", "0.17", "--workload", "light",
-            ]
-        )
-        assert code == 0
-        assert "r_O" in capsys.readouterr().out
+    @pytest.mark.parametrize("verb", ["sweep", "spans"])
+    def test_retired_verbs_are_gone(self, verb):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([verb])
 
     def test_trace_command_runs(self, capsys):
         code = main(["trace", "--rows", "2", "--days", "0.05"])
@@ -169,20 +160,22 @@ class TestTelemetryCommands:
         doc = json.loads(snap_path.read_text())
         assert "repro_controller_ticks_total" in doc
 
-    def test_spans_command_prints_summary(self, capsys):
+    def test_metrics_command_prints_span_table_to_stderr(self, capsys):
         code = main(
-            ["spans", "--servers", "40", "--hours", "0.3",
+            ["metrics", "--servers", "40", "--hours", "0.3",
              "--workload", "heavy", "--last", "2"]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "controller.tick" in out
-        assert "monitor.sweep" in out
-        assert "wall mean (us)" in out
+        captured = capsys.readouterr()
+        assert "controller.tick" in captured.err
+        assert "monitor.sweep" in captured.err
+        assert "wall mean (us)" in captured.err
+        assert "# TYPE repro_engine_events_total counter" in captured.out
+        assert "wall mean (us)" not in captured.out
 
-    def test_spans_unknown_name_fails(self, capsys):
+    def test_metrics_unknown_span_name_fails(self, capsys):
         code = main(
-            ["spans", "--servers", "40", "--hours", "0.2",
+            ["metrics", "--servers", "40", "--hours", "0.2",
              "--workload", "typical", "--name", "nope"]
         )
         assert code == 1

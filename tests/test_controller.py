@@ -1,5 +1,7 @@
 """Tests for the AmpereController control loop (Algorithm 1 end to end)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,24 @@ class TestHorizon:
     def test_invalid_horizon_rejected(self):
         with pytest.raises(ValueError):
             AmpereConfig(horizon=0)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "control_interval",
+            "default_e_t",
+            "horizon",
+            "max_staleness_seconds",
+            "rpc_max_attempts",
+            "rpc_backoff_base_seconds",
+            "rpc_deadline_seconds",
+            "history_window",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_config_refuses_nan_and_infinities(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AmpereConfig(**{field: value})
 
 
 class TestTargetsHottestServers:

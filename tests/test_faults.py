@@ -9,6 +9,7 @@ one fixed seed.
 """
 
 import json
+import math
 import pickle
 
 import numpy as np
@@ -162,6 +163,21 @@ class TestFaultScenario:
     def test_invalid_scenarios_rejected(self, kwargs):
         with pytest.raises(ValueError):
             FaultScenario(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "rpc_latency_seconds",
+            "rpc_timeout_seconds",
+            "restart_delay_seconds",
+            "server_mtbf_hours",
+            "server_mttr_minutes",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_scenario_refuses_nan_and_infinities(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FaultScenario(**{field: value})
 
     def test_adjacent_windows_do_not_overlap(self):
         # Back-to-back windows are legal; only true overlap is rejected.

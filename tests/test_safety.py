@@ -8,6 +8,7 @@ with it enabled.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -278,6 +279,21 @@ class TestSafetyConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SafetyConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "interval_seconds",
+            "critical_ratio",
+            "release_ticks",
+            "breaker_interval_seconds",
+            "breaker_reset_minutes",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_config_refuses_nan_and_infinities(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SafetyConfig(**{field: value})
 
 
 class TestSafetySupervisor:

@@ -491,6 +491,33 @@ class TestExperimentIntegration:
         # controller ticks happen once per monitor interval after warmup
         assert summary["controller.tick"]["count"] == summary["monitor.sweep"]["count"]
 
+    def test_telemetry_on_snapshots_are_byte_reproducible(self):
+        """Span records hold wall-clock readings and stay out of a
+        snapshot: two telemetry-on runs of one seed give equal frames,
+        and the restored run resumes to the uninterrupted result."""
+        from repro.analysis.serialize import result_to_dict
+
+        config = small_config(
+            duration_hours=1.0, warmup_hours=0.25, telemetry_enabled=True
+        )
+        frames = []
+        for _ in range(2):
+            experiment = ControlledExperiment(config)
+            experiment.start()
+            experiment.advance(1800.0)
+            assert len(experiment.telemetry.tracer) > 0
+            frames.append(experiment.snapshot())
+        assert frames[0] == frames[1]
+
+        restored = ControlledExperiment.restore(frames[0])
+        assert len(restored.telemetry.tracer) == 0
+        assert restored.snapshot() == frames[0]
+        resumed = restored.finish()
+        uninterrupted = ControlledExperiment(config).run()
+        assert json.dumps(result_to_dict(resumed), sort_keys=True) == json.dumps(
+            result_to_dict(uninterrupted), sort_keys=True
+        )
+
     def test_result_with_registry_pickles(self):
         result = ControlledExperiment(small_config(telemetry_enabled=True)).run()
         clone = pickle.loads(pickle.dumps(result.without_series()))
